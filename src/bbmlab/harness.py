@@ -66,7 +66,6 @@ class ExperimentSpec:
 
     def cells(self):
         """Ladder x replicate grid as (cell_name, params) pairs."""
-        grids = [[("", {})]]
         items = sorted(self.ladders.items())
         combos = [{}]
         for key, values in items:

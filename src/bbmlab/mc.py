@@ -14,19 +14,22 @@ either zero or one of the explicit envelopes
 where eta is the largest value in (0, 1/2] keeping y -> (y/r)^alpha (1+f-)
 non-decreasing for all r >= (2L)^{1/b}.
 
-Sampling is chunked: chunk i draws from Philox(key=(seed, i)), and chunks
-are reduced in index order, so results are bit-reproducible and two
-estimates with the same seed share every path (making pathwise-monotone
-comparisons exact).  Path integrals use the trapezoidal rule on the
-sampled skeleton, with midpoint evaluation on steps that cross zero.
+Every Monte Carlo estimate in bbmlab, including the spine checks in `sim`,
+goes through one reducer, `_chunked_mean`: chunk i of the samples draws from
+Philox(key=[seed, key_offset + i]), and the sums of v and v^2 are taken per
+chunk and added in chunk index order.  Chunks hold 20,000 samples with key
+offset 0; the two-spine check in `sim` uses chunks of 10,000 and key offset
+7,000,000.  Results are therefore bit-reproducible, and two estimates with
+the same seed share every path (making pathwise-monotone comparisons exact).
+Paths come from one column marcher, `_march`, forward or bridge, for 1-D
+or planar states.  Path integrals use the trapezoidal rule on the sampled
+skeleton, with midpoint evaluation on steps where a 1-D path crosses zero.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -72,24 +75,11 @@ class PathSampler:
         if self.scheme == "bridge" and y is None:
             raise ConfigurationError("bridge sampling needs the endpoint y")
         r_grid = _weight_grid(s, t, self.step)
-        m = len(r_grid) - 1
-        cols = []
-
-        def hook(cur, j):
-            cols.append(cur.copy())
-
+        end = y if self.scheme == "bridge" else None
         out = []
-        offset = 0
-        for i, size in enumerate(_chunk_sizes(n)):
-            rng = _chunk_rng(self.seed, i)
-            cols.clear()
-            marcher = _PathMarcher(r_grid, 0.0, 1.0, hook=hook)
-            if self.scheme == "forward":
-                _march_forward(rng, size, x, r_grid, marcher)
-            else:
-                _march_bridge(rng, size, x, y, r_grid, marcher)
-            out.append(np.column_stack(cols))
-            offset += size
+        for rng, size in _chunks(self.seed, n):
+            columns = _march(rng, r_grid, np.full(size, float(x)), end)
+            out.append(np.column_stack([col for _, col in columns]))
         return r_grid, np.concatenate(out, axis=0)
 
 
@@ -152,15 +142,27 @@ def make_envelope(L: float, a: float, b: float, alpha: float,
     return ErrorEnvelope(L, a, b, alpha, lo)
 
 
-def _chunk_sizes(n):
-    sizes = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        sizes.append(n % CHUNK)
-    return sizes
+def _chunks(seed, n, key_offset=0, chunk=CHUNK):
+    """Yield (rng, size) for the chunks of n samples; chunk i draws from
+    Philox(key=[seed, key_offset + i])."""
+    for i, start in enumerate(range(0, n, chunk)):
+        rng = np.random.Generator(np.random.Philox(key=[int(seed), key_offset + i]))
+        yield rng, min(chunk, n - start)
 
 
-def _chunk_rng(seed, index):
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
+def _chunked_mean(seed, n, sample, key_offset=0, chunk=CHUNK):
+    """Mean, standard error and count of the values sample(rng, size) over
+    the chunks of n samples.  The sums of v and v^2 are taken per chunk and
+    added in chunk index order; a sample of shape (k, size) reduces each of
+    its k rows."""
+    acc_sum = acc_sq = 0.0
+    for rng, size in _chunks(seed, n, key_offset, chunk):
+        v = sample(rng, size)
+        acc_sum += v.sum(axis=-1)
+        acc_sq += (v ** 2).sum(axis=-1)
+    mean = acc_sum / n
+    var = np.maximum(acc_sq / n - mean ** 2, 0.0)
+    return mean, np.sqrt(var / n), n
 
 
 def _weight_grid(s, t, step):
@@ -168,74 +170,68 @@ def _weight_grid(s, t, step):
     return np.linspace(s, t, m + 1)
 
 
-class _PathMarcher:
-    """Online accumulation of the trapezoidal path integral while the
-    skeleton is generated column by column.  Memory stays O(n paths);
-    steps that cross zero use the midpoint value (|.|^alpha kink).
-
-    Optional per-column hooks receive (positions, r) for side statistics
-    (tube exits, endpoint snapshots, ...).
+def _march(rng, r_grid, start, end=None):
+    """Yield (j, column) of a skeleton on r_grid, from the state `start` of
+    shape (n,) or planar (2, n).  Without `end` the increments are
+    independent N(0, dr); with it the path is a Brownian bridge to `end`,
+    drawn as sequential conditional Gaussians with the last column exact.
+    Each column is a new array, so consumers may keep it.
     """
-
-    def __init__(self, r_grid, beta, alpha, f=None, weight_fn=None, hook=None):
-        self.r_grid = r_grid
-        self.beta = beta
-        if weight_fn is None:
-            sqrt2 = math.sqrt(2.0)
-            weight_fn = lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha
-        if f is not None:
-            base = weight_fn
-            weight_fn = lambda y, r: base(y, r) * (1.0 + f(y, r))
-        self.wval = weight_fn
-        self.hook = hook
-
-    def run(self, n, start_col, advance):
-        """advance(cur, j) -> positions at column j+1."""
-        r = self.r_grid
-        cur = start_col
-        w_prev = self.wval(cur, r[0])
-        total = np.zeros(n)
-        if self.hook:
-            self.hook(cur, 0)
-        for j in range(len(r) - 1):
-            nxt = advance(cur, j)
-            dr = r[j + 1] - r[j]
-            w_next = self.wval(nxt, r[j + 1])
-            trap = 0.5 * (w_prev + w_next)
-            crossing = cur * nxt < 0.0
-            if np.any(crossing):
-                trap = np.where(crossing,
-                                self.wval(0.5 * (cur + nxt), r[j] + 0.5 * dr), trap)
-            total += dr * trap
-            cur, w_prev = nxt, w_next
-            if self.hook:
-                self.hook(cur, j + 1)
-        return np.exp(-self.beta * total)
-
-
-def _march_forward(rng, n, x, r_grid, marcher):
-    dr = np.diff(r_grid)
-
-    def advance(cur, j):
-        return cur + math.sqrt(dr[j]) * rng.standard_normal(n)
-
-    return marcher.run(n, np.full(n, float(x)), advance)
-
-
-def _march_bridge(rng, n, x, y, r_grid, marcher):
-    """Sequential conditional-Gaussian bridge; endpoints exact."""
     m = len(r_grid) - 1
+    cur = start
+    yield 0, cur
+    for j in range(m):
+        dr = r_grid[j + 1] - r_grid[j]
+        if end is None:
+            cur = cur + math.sqrt(dr) * rng.standard_normal(cur.shape)
+        elif j == m - 1:
+            cur = np.full_like(cur, end)
+        else:
+            remain = r_grid[-1] - r_grid[j]
+            mean = cur + (end - cur) * (dr / remain)
+            var = dr * (remain - dr) / remain
+            cur = mean + math.sqrt(var) * rng.standard_normal(cur.shape)
+        yield j + 1, cur
 
-    def advance(cur, j):
-        if j == m - 1:
-            return np.full(n, float(y))
-        dt_step = r_grid[j + 1] - r_grid[j]
-        remain = r_grid[-1] - r_grid[j]
-        mean = cur + (y - cur) * (dt_step / remain)
-        var = dt_step * (remain - dt_step) / remain
-        return mean + math.sqrt(var) * rng.standard_normal(n)
 
-    return marcher.run(n, np.full(n, float(x)), advance)
+class _Trapezoid:
+    """Trapezoidal integral of weight(column, r) over the columns of a
+    skeleton, added in order; memory stays O(n paths).  On 1-D states a step
+    that crosses zero takes the midpoint value instead (|y|^alpha kink)."""
+
+    def __init__(self, r_grid, weight):
+        self.r, self.weight, self.total = r_grid, weight, 0.0
+
+    def add(self, j, col):
+        w = self.weight(col, self.r[j])
+        if j:
+            dr = self.r[j] - self.r[j - 1]
+            trap = 0.5 * (self.w_prev + w)
+            if col.ndim == 1:
+                crossing = self.prev * col < 0.0
+                if np.any(crossing):
+                    mid = self.weight(0.5 * (self.prev + col), self.r[j - 1] + 0.5 * dr)
+                    trap = np.where(crossing, mid, trap)
+            self.total += dr * trap
+        self.prev, self.w_prev = col, w
+
+
+def _weighted_paths(r_grid, beta, weight, x, end=None):
+    """sample(rng, size) -> exp(-beta int weight) along paths started at x."""
+    def sample(rng, size):
+        integral = _Trapezoid(r_grid, weight)
+        for j, col in _march(rng, r_grid, np.full(size, float(x)), end):
+            integral.add(j, col)
+        return np.exp(-beta * integral.total)
+    return sample
+
+
+def _kernel_weight(alpha, f=None):
+    """|y/(sqrt2 r)|^alpha, times (1 + f(y, r)) when f is given."""
+    sqrt2 = math.sqrt(2.0)
+    if f is None:
+        return lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha
+    return lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha * (1.0 + f(y, r))
 
 
 def _validate(s, t, n_samples, step):
@@ -261,19 +257,10 @@ def estimate_total_mass(s: float, t: float, x: float, params, n_samples: int,
     beta, alpha = params.beta, params.alpha
     if beta == 0.0:
         return KernelEstimate(1.0, 0.0, n_samples, step)
-    f = _branch_fn(envelope, branch)
     r_grid = _weight_grid(s, t, step)
-    acc_sum, acc_sq, count = 0.0, 0.0, 0
-    for i, size in enumerate(_chunk_sizes(n_samples)):
-        rng = _chunk_rng(seed, i)
-        marcher = _PathMarcher(r_grid, beta, alpha, f=f)
-        w = _march_forward(rng, size, x, r_grid, marcher)
-        acc_sum += w.sum()
-        acc_sq += (w ** 2).sum()
-        count += size
-    mean = acc_sum / count
-    var = max(acc_sq / count - mean ** 2, 0.0)
-    return KernelEstimate(mean, math.sqrt(var / count), count, float(r_grid[1] - r_grid[0]))
+    weight = _kernel_weight(alpha, _branch_fn(envelope, branch))
+    mean, stderr, count = _chunked_mean(seed, n_samples, _weighted_paths(r_grid, beta, weight, x))
+    return KernelEstimate(mean, stderr, count, float(r_grid[1] - r_grid[0]))
 
 
 def _branch_fn(envelope, branch):
@@ -296,20 +283,11 @@ def estimate_gtilde(s: float, x: float, t: float, y: float, params, n_samples: i
     pref = math.exp(-((y - x) ** 2) / (2.0 * (t - s))) / math.sqrt(2.0 * math.pi * (t - s))
     if beta == 0.0:
         return KernelEstimate(pref, 0.0, n_samples, step)
-    f = _branch_fn(envelope, branch)
     r_grid = _weight_grid(s, t, step)
-    acc_sum, acc_sq, count = 0.0, 0.0, 0
-    for i, size in enumerate(_chunk_sizes(n_samples)):
-        rng = _chunk_rng(seed, i)
-        marcher = _PathMarcher(r_grid, beta, alpha, f=f)
-        w = _march_bridge(rng, size, x, y, r_grid, marcher)
-        acc_sum += w.sum()
-        acc_sq += (w ** 2).sum()
-        count += size
-    mean = acc_sum / count
-    var = max(acc_sq / count - mean ** 2, 0.0)
-    return KernelEstimate(pref * mean, pref * math.sqrt(var / count), count,
-                          float(r_grid[1] - r_grid[0]))
+    weight = _kernel_weight(alpha, _branch_fn(envelope, branch))
+    mean, stderr, count = _chunked_mean(seed, n_samples,
+                                        _weighted_paths(r_grid, beta, weight, x, y))
+    return KernelEstimate(pref * mean, pref * stderr, count, float(r_grid[1] - r_grid[0]))
 
 
 def localization_probe(s: float, t: float, x: float, y: float, eta_exponent: float,
@@ -324,23 +302,20 @@ def localization_probe(s: float, t: float, x: float, y: float, eta_exponent: flo
     expo = (kappa + eta_exponent) / 2.0
     r_grid = _weight_grid(s, t, step)
     tube = r_grid ** expo
-    w_all, w_exit, count = 0.0, 0.0, 0
-    for i, size in enumerate(_chunk_sizes(n_samples)):
-        rng = _chunk_rng(seed, i)
+    weight = _kernel_weight(alpha)
+
+    def sample(rng, size):
+        integral = _Trapezoid(r_grid, weight)
         exits = np.zeros(size, dtype=bool)
+        for j, col in _march(rng, r_grid, np.full(size, float(x)), y):
+            integral.add(j, col)
+            exits |= np.abs(col) >= tube[j]
+        w = np.exp(-beta * integral.total)
+        return np.stack([w, np.where(exits, w, 0.0)])
 
-        def hook(cur, j):
-            nonlocal exits
-            exits |= np.abs(cur) >= tube[j]
-
-        marcher = _PathMarcher(r_grid, beta, alpha, hook=hook)
-        w = _march_bridge(rng, size, x, y, r_grid, marcher)
-        w_all += w.sum()
-        w_exit += w[exits].sum()
-        count += size
+    (w_all, w_exit), _, count = _chunked_mean(seed, n_samples, sample)
     ratio = w_exit / w_all if w_all > 0 else 0.0
-    return {"ratio": ratio, "weight_total": w_all / count,
-            "weight_exit": w_exit / count, "n_samples": count}
+    return {"ratio": ratio, "weight_total": w_all, "weight_exit": w_exit, "n_samples": count}
 
 
 def alpha2_exponent_fit(beta: float, s_list, t: float, n_samples: int, step: float,
@@ -353,19 +328,13 @@ def alpha2_exponent_fit(beta: float, s_list, t: float, n_samples: int, step: flo
     if beta == 0.0:
         return {"slope": 0.0, "intercept": 0.0, "r2": 1.0, "points": []}
     vals, logs = [], []
-    weight_fn = lambda yv, r: (yv / r) ** 2
+    weight = lambda yv, r: (yv / r) ** 2
     for idx, s in enumerate(sorted(s_list)):
         eff_step = min(step, min(1.0, s) / 10.0)
         _validate(s, t, n_samples, eff_step)
         r_grid = _weight_grid(s, t, eff_step)
-        acc, count = 0.0, 0
-        for i, size in enumerate(_chunk_sizes(n_samples)):
-            rng = _chunk_rng(seed + idx, i)
-            marcher = _PathMarcher(r_grid, beta, 2.0, weight_fn=weight_fn)
-            w = _march_forward(rng, size, 0.0, r_grid, marcher)
-            acc += w.sum()
-            count += size
-        vals.append(acc / count)
+        sample = _weighted_paths(r_grid, beta, weight, 0.0)
+        vals.append(_chunked_mean(seed + idx, n_samples, sample)[0])
         logs.append(math.log(s / t))
     logs = np.array(logs)
     lv = np.log(np.array(vals))
@@ -400,39 +369,29 @@ def bridge_barrier_mc(s: float, x: float, t: float, y: float, K: float,
     """
     if x >= K or y >= K:
         raise DomainError("endpoints must lie below the barrier")
+    if not (t > s):
+        raise DomainError(f"need t > s, got s={s}, t={t}")
     if n_samples < 100:
         raise ConfigurationError("need at least 100 samples")
-    m = max(2, int(math.ceil((t - s) / step)))
-    r_grid = np.linspace(s, t, m + 1)
-    dt_step = r_grid[1] - r_grid[0]
-    acc_sum, acc_sq, count = 0.0, 0.0, 0
-    for i, size in enumerate(_chunk_sizes(n_samples)):
-        rng = _chunk_rng(seed, i)
-        cur = np.full(size, float(x))
-        hit = cur >= K
+    r_grid = _weight_grid(s, t, step)
+
+    def sample(rng, size):
+        hit = np.zeros(size, dtype=bool)
         log_stay = np.zeros(size)
-        for j in range(m):
-            if j == m - 1:
-                nxt = np.full(size, float(y))
-            else:
-                remain = r_grid[-1] - r_grid[j]
-                mean_ = cur + (y - cur) * (dt_step / remain)
-                var_ = dt_step * (remain - dt_step) / remain
-                nxt = mean_ + math.sqrt(var_) * rng.standard_normal(size)
-            hit |= nxt >= K
-            # conditional crossing probability inside the sub-interval
-            a = np.clip(K - cur, 0.0, None)
-            b = np.clip(K - nxt, 0.0, None)
-            p_cross = np.clip(np.exp(-2.0 * a * b / dt_step), 0.0, 1.0 - 1e-16)
-            log_stay += np.where((a > 0) & (b > 0), np.log1p(-p_cross), 0.0)
-            cur = nxt
-        v = np.where(hit, 1.0, 1.0 - np.exp(log_stay))
-        acc_sum += v.sum()
-        acc_sq += (v ** 2).sum()
-        count += size
-    mean = acc_sum / count
-    var = max(acc_sq / count - mean ** 2, 0.0)
-    return KernelEstimate(mean, math.sqrt(var / count), count, dt_step)
+        for j, col in _march(rng, r_grid, np.full(size, float(x)), y):
+            hit |= col >= K
+            if j:
+                # conditional crossing probability inside the sub-interval
+                a = np.clip(K - prev, 0.0, None)
+                b = np.clip(K - col, 0.0, None)
+                dr = r_grid[j] - r_grid[j - 1]
+                p_cross = np.clip(np.exp(-2.0 * a * b / dr), 0.0, 1.0 - 1e-16)
+                log_stay += np.where((a > 0) & (b > 0), np.log1p(-p_cross), 0.0)
+            prev = col
+        return np.where(hit, 1.0, 1.0 - np.exp(log_stay))
+
+    mean, stderr, count = _chunked_mean(seed, n_samples, sample)
+    return KernelEstimate(mean, stderr, count, r_grid[1] - r_grid[0])
 
 
 def log_i0(z):
@@ -472,8 +431,3 @@ def bessel_density(r0: float, s: float, z) -> np.ndarray:
     out = np.exp(log_dens)
     return float(out) if np.isscalar(z) else out
 
-
-def export_estimate_json(path, estimate: KernelEstimate, **inputs):
-    with open(path, "w") as fh:
-        json.dump(estimate.to_json_dict(**inputs), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DomainError
+from .mc import _chunked_mean, _march, _Trapezoid
 from .model import DerivedConstants, ModelParams, RateFamily, branching_rate
 from .rng import ROOT_ID, CounterRNG, child_id, mix_words
 
@@ -497,44 +498,35 @@ class PathFunctional:
         raise ConfigurationError(f"unsupported functional {self.kind!r}")
 
 
+def _grid_column(grid, s):
+    """Index of the grid node at time s; ConfigurationError off the grid."""
+    j = int(np.argmin(np.abs(grid - s)))
+    if abs(grid[j] - s) > 1e-9 * (grid[1] - grid[0]):
+        raise ConfigurationError(f"time {s} is off the spine grid (step {grid[1] - grid[0]:g})")
+    return j
+
+
 def _mc_spine_one(params, t_end, functional, n_mc, seed, dt=0.01):
     """Single-spine expectation E[F(path) exp(int_0^t b(theta_s) ds)]."""
     m = int(round(t_end / dt))
     grid = np.linspace(0.0, t_end, m + 1)
-    capture = set(functional.snapshot_times(t_end)) | {t_end}
-    acc_sum, acc_sq, count = 0.0, 0.0, 0
-    chunk = 20_000
-    i = 0
-    remaining = n_mc
-    while remaining > 0:
-        size = min(chunk, remaining)
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), i]))
-        cx = np.zeros(size)
-        cy = np.zeros(size)
-        integral = np.zeros(size)
-        b_prev = branching_rate(np.arctan2(cy, cx), params)
-        xs_by_time, ys_by_time = {}, {}
-        if 0.0 in capture:
-            xs_by_time[0.0], ys_by_time[0.0] = cx.copy(), cy.copy()
-        for j in range(m):
-            sd = math.sqrt(grid[j + 1] - grid[j])
-            cx = cx + sd * rng.standard_normal(size)
-            cy = cy + sd * rng.standard_normal(size)
-            b_cur = branching_rate(np.arctan2(cy, cx), params)
-            integral += 0.5 * (b_prev + b_cur) * (grid[j + 1] - grid[j])
-            b_prev = b_cur
-            tcur = float(grid[j + 1])
-            if tcur in capture:
-                xs_by_time[tcur], ys_by_time[tcur] = cx.copy(), cy.copy()
-        vals = functional.on_paths(xs_by_time, ys_by_time, t_end) * np.exp(integral)
-        acc_sum += vals.sum()
-        acc_sq += (vals ** 2).sum()
-        count += size
-        remaining -= size
-        i += 1
-    mean = acc_sum / count
-    var = max(acc_sq / count - mean ** 2, 0.0)
-    return mean, math.sqrt(var / count)
+    columns = {s: _grid_column(grid, s) for s in functional.snapshot_times(t_end)}
+    columns[t_end] = m
+    rate = lambda col, r: branching_rate(np.arctan2(col[1], col[0]), params)
+
+    def sample(rng, size):
+        integral = _Trapezoid(grid, rate)
+        kept = {}
+        for j, col in _march(rng, grid, np.zeros((2, size))):
+            integral.add(j, col)
+            if j in columns.values():
+                kept[j] = col
+        xs = {s: kept[j][0] for s, j in columns.items()}
+        ys = {s: kept[j][1] for s, j in columns.items()}
+        return functional.on_paths(xs, ys, t_end) * np.exp(integral.total)
+
+    mean, stderr, _ = _chunked_mean(seed, n_mc, sample)
+    return mean, stderr
 
 
 def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
@@ -543,6 +535,8 @@ def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
     E[F exp(int b)]; reports both sides with standard errors and a z-score."""
     if t > 3.0:
         raise ConfigurationError("t too large for the replicate budget (use t <= 3)")
+    # the spine side first: it rejects snapshot times off its grid
+    mc_mean, mc_se = _mc_spine_one(params, t, functional, n_mc, seed + 1, dt=dt_mc)
     snap = functional.snapshot_times(t)
     sims = np.empty(n_sim)
     for rep in range(n_sim):
@@ -551,7 +545,6 @@ def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
         sims[rep] = functional.on_population(pop, t)
     sim_mean = float(sims.mean())
     sim_se = float(sims.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else 0.0
-    mc_mean, mc_se = _mc_spine_one(params, t, functional, n_mc, seed + 1, dt=dt_mc)
     denom = math.hypot(sim_se, mc_se)
     z = (sim_mean - mc_mean) / denom if denom > 0 else 0.0
     return {"sim": sim_mean, "sim_se": sim_se, "mc": mc_mean, "mc_se": mc_se,
@@ -566,13 +559,9 @@ def _mc_spine_two(params, t_end, f_fun, g_fun, n_mc, seed, dt=0.01):
     mm = 2 * m  # half-step columns
     hgrid = np.linspace(0.0, t_end, mm + 1)
     hstep = hgrid[1] - hgrid[0]
-    acc_sum, acc_sq, count = 0.0, 0.0, 0
-    chunk = 10_000
-    i = 0
-    remaining = n_mc
-    while remaining > 0:
-        size = min(chunk, remaining)
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), 7_000_000 + i]))
+    sd = math.sqrt(hstep)
+
+    def sample(rng, size):
         # branch cell midpoints: odd half-grid indices 1, 3, ..., 2m-1
         cells = rng.integers(0, m, size)
         branch_col = 2 * cells + 1
@@ -584,7 +573,6 @@ def _mc_spine_two(params, t_end, f_fun, g_fun, n_mc, seed, dt=0.01):
         b1_prev = branching_rate(np.arctan2(y1, x1), params)
         b2_prev = np.zeros(size)
         b_at_branch = np.zeros(size)
-        sd = math.sqrt(hstep)
         for j in range(mm):
             x1 += sd * rng.standard_normal(size)
             y1 += sd * rng.standard_normal(size)
@@ -608,15 +596,10 @@ def _mc_spine_two(params, t_end, f_fun, g_fun, n_mc, seed, dt=0.01):
                 started |= at_branch
         fvals = f_fun({t_end: x1}, {t_end: y1}, t_end)
         gvals = g_fun({t_end: x2}, {t_end: y2}, t_end)
-        w = 2.0 * t_end * b_at_branch * np.exp(int1 + int2) * fvals * gvals
-        acc_sum += w.sum()
-        acc_sq += (w ** 2).sum()
-        count += size
-        remaining -= size
-        i += 1
-    mean = acc_sum / count
-    var = max(acc_sq / count - mean ** 2, 0.0)
-    return mean, math.sqrt(var / count)
+        return 2.0 * t_end * b_at_branch * np.exp(int1 + int2) * fvals * gvals
+
+    mean, stderr, _ = _chunked_mean(seed, n_mc, sample, key_offset=7_000_000, chunk=10_000)
+    return mean, stderr
 
 
 def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
@@ -636,8 +619,9 @@ def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
         fsum = f.on_population(pop, t)
         gsum = g.on_population(pop, t)
         n_alive, xs, ys = pop.snapshots[t]
-        fv = _pointwise(f, xs, ys, n_alive)
-        gv = _pointwise(g, xs, ys, n_alive)
+        alive_x, alive_y = {t: xs[:n_alive]}, {t: ys[:n_alive]}
+        fv = f.on_paths(alive_x, alive_y, t)
+        gv = g.on_paths(alive_x, alive_y, t)
         sims[rep] = fsum * gsum - float((fv * gv).sum())
     sim_mean = float(sims.mean())
     sim_se = float(sims.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else 0.0
@@ -647,16 +631,6 @@ def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
     z = (sim_mean - mc_mean) / denom if denom > 0 else 0.0
     return {"sim": sim_mean, "sim_se": sim_se, "mc": mc_mean, "mc_se": mc_se,
             "z": z, "n_sim": n_sim, "n_mc": n_mc}
-
-
-def _pointwise(fn: PathFunctional, xs, ys, n_alive):
-    if fn.kind == "one":
-        return np.ones(n_alive)
-    if fn.kind == "x_indicator":
-        return (xs[:n_alive] > fn.x0).astype(float)
-    if fn.kind == "r_indicator":
-        return (np.hypot(xs[:n_alive], ys[:n_alive]) > fn.r0).astype(float)
-    raise ConfigurationError(f"unsupported functional {fn.kind!r}")
 
 
 def porism_probe(params: ModelParams, t_list: Sequence[float], replicates: int,

@@ -188,6 +188,9 @@ class TestBridgeBarrier:
     def test_domain(self):
         with pytest.raises(DomainError):
             bridge_barrier_probability(0.0, 2.0, 1.0, 0.0, 1.0)
+        for s, t in ((1.0, 0.0), (1.0, 1.0)):
+            with pytest.raises(DomainError):
+                bridge_barrier_mc(s, 0.0, t, 0.0, 1.0, 1000, 0.1, 1)
 
     def test_mc_agrees(self):
         exact = bridge_barrier_probability(0.0, 0.0, 1.0, 0.0, 1.0)

@@ -225,6 +225,17 @@ class TestManyToFew:
         rep = many_to_one_check(P_SIN, 2.0, fn, 500, 30000, seed=15)
         assert abs(rep["z"]) <= 3.5
 
+    def test_mto1_snapshot_times_on_the_grid(self):
+        # 0.7 is not bit-equal to its np.linspace node (0.7000000000000001)
+        fn = PathFunctional("x_cylinder", times=(0.3, 0.7), thresholds=(0, 0.1))
+        rep = many_to_one_check(ModelParams(alpha=1), 1.0, fn, 20, 2000, 3)
+        assert 0.0 < rep["mc"] < math.e and math.isfinite(rep["z"])
+
+    def test_mto1_snapshot_time_off_the_grid(self):
+        fn = PathFunctional("x_cylinder", times=(0.305,), thresholds=(0.0,))
+        with pytest.raises(ConfigurationError):
+            many_to_one_check(ModelParams(alpha=1), 1.0, fn, 20, 2000, 3)
+
     def test_mto2_yule_second_factorial_moment(self):
         from oracles import yule_second_factorial
 
