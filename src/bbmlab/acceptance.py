@@ -50,9 +50,9 @@ class AcceptanceContext:
 
 def _timed(fn):
     def wrapper(ctx):
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = fn(ctx)
-        out.runtime = time.time() - t0
+        out.runtime = time.perf_counter() - t0
         return out
     return wrapper
 

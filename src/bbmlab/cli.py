@@ -26,12 +26,6 @@ from .errors import (
 DEFAULT_ROOT_ENV = "BBMLAB_OUT"
 
 
-def _out_root(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(DEFAULT_ROOT_ENV, "runs"))
-
-
 def _add_operation_parsers(sub):
     for name, op in operations.REGISTRY.items():
         p = sub.add_parser(name, help=op.anchor)
@@ -39,22 +33,11 @@ def _add_operation_parsers(sub):
             if param == "seed":
                 continue
             p.add_argument(f"--{param.replace('_', '-')}", dest=param, default=None)
-        # seed required for stochastic ops, but validated in main() so the
-        # failure maps to exit code 1 rather than argparse's 2
-        p.add_argument("--seed", type=int, default=None)
+        # parsed and required by Operation.bind, so a bad or missing seed
+        # exits with code 1 rather than argparse's 2
+        p.add_argument("--seed", default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(_operation=name)
-
-
-def _coerce(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
 
 
 def main(argv=None) -> int:
@@ -82,8 +65,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             from .harness import run_experiment, spec_from_config
 
-            spec = spec_from_config(Path(args.config).read_text())
-            record = run_experiment(spec, root=args.out or None)
+            try:
+                text = Path(args.config).read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
+            spec = spec_from_config(text)
+            record = run_experiment(spec, root=args.out or None, force=args.force)
             print(f"{spec.name}: {record.status} ({len(record.digests)} files, "
                   f"spec {record.spec_hash})")
             return 0
@@ -93,7 +80,11 @@ def main(argv=None) -> int:
 
             numbers = None
             if args.only:
-                numbers = {int(v) for v in args.only.split(",")}
+                try:
+                    numbers = {int(v) for v in args.only.split(",")}
+                except ValueError:
+                    raise ConfigurationError(
+                        f"--only takes criterion numbers, got {args.only!r}") from None
             results = run_suite(numbers)
             for res in results:
                 print(res.line())
@@ -110,14 +101,9 @@ def main(argv=None) -> int:
 
         # a registry operation
         op = operations.REGISTRY[args._operation]
-        params = {}
-        for key in op.parameters:
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = _coerce(val) if isinstance(val, str) else val
-        if op.stochastic and "seed" not in params:
-            raise ConfigurationError(f"--seed is required for {op.name}")
-        out = _out_root(args) / op.name
+        params = op.bind({key: getattr(args, key) for key in op.parameters
+                          if getattr(args, key) is not None})
+        out = Path(args.out or os.environ.get(DEFAULT_ROOT_ENV, "runs")) / op.name
         out.mkdir(parents=True, exist_ok=True)
         files = op.run(params, out)
         for f in files:

@@ -3,8 +3,9 @@
 An experiment is a plain-text config (key/value with sections) naming one
 operation from the registry, a parameter map, an optional ladder (a list
 of values for any numeric parameter) and a replicate count.  Running it
-produces one output directory per cell with deterministic CSV/JSON files,
-plus a manifest holding the spec hash, timestamps and per-file digests.
+runs the cells one after another and produces one output directory per
+cell with deterministic CSV/JSON files, plus a manifest holding the spec
+hash, timestamps and per-file digests.
 Result files never embed wall-clock data, so a rerun with the same seed
 is byte-identical; reruns skip completed cells unless forced.
 """
@@ -14,14 +15,15 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import operations
 from .errors import ConfigurationError
+from .files import write_json
+from .operations import parse_value
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -39,17 +41,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.operation not in operations.REGISTRY:
             raise ConfigurationError(f"unknown operation {self.operation!r}")
+        if self.replicates < 1:
+            raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
         op = operations.REGISTRY[self.operation]
-        for key in list(self.params) + list(self.ladders):
-            if key not in op.parameters:
-                raise ConfigurationError(
-                    f"parameter {key!r} not accepted by {self.operation!r} "
-                    f"(accepts {sorted(op.parameters)})")
-        for key, values in self.ladders.items():
-            for v in values:
-                op.validate(key, v)
-        for key, v in self.params.items():
-            op.validate(key, v)
+        for _, params in self.cells():
+            op.bind(params)
 
     def canonical(self) -> str:
         blob = {
@@ -65,7 +61,9 @@ class ExperimentSpec:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
     def cells(self):
-        """Ladder x replicate grid as (cell_name, params) pairs."""
+        """Ladder x replicate grid as (cell_name, params) pairs; stochastic
+        operations get a per-replicate seed."""
+        stochastic = operations.REGISTRY[self.operation].stochastic
         items = sorted(self.ladders.items())
         combos = [{}]
         for key, values in items:
@@ -79,45 +77,37 @@ class ExperimentSpec:
                 label = "_".join(label_parts) if label_parts else "single"
                 params = dict(self.params)
                 params.update(combo)
-                params["seed"] = int(np.uint64(self.seed) ^ np.uint64(rep * 0x9E3779B9))
+                if stochastic:
+                    params["seed"] = self.seed ^ rep * 0x9E3779B9
                 out.append((label.replace("/", "-"), params))
         return out
 
 
 def spec_from_config(text: str) -> ExperimentSpec:
     cp = configparser.ConfigParser()
-    cp.read_string(text)
-    if "experiment" not in cp:
+    try:
+        cp.read_string(text)
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config: {exc}") from None
+    if "experiment" not in sections:
         raise ConfigurationError("config needs an [experiment] section")
-    exp = cp["experiment"]
+    exp = sections["experiment"]
     for req in ("name", "operation", "seed"):
         if req not in exp:
             raise ConfigurationError(f"[experiment] must set {req!r}")
-    params = {}
-    if "params" in cp:
-        params = {k: _parse_value(v) for k, v in cp["params"].items()}
-    ladders = {}
-    if "ladder" in cp:
-        ladders = {k: [_parse_value(x) for x in v.split(",")]
-                   for k, v in cp["ladder"].items()}
+    try:
+        seed, replicates = int(exp["seed"]), int(exp.get("replicates", "1"))
+    except ValueError:
+        raise ConfigurationError("[experiment] seed and replicates must be integers") from None
+    params = {k: parse_value(v) for k, v in sections.get("params", {}).items()}
+    ladders = {k: [parse_value(x) for x in v.split(",")]
+               for k, v in sections.get("ladder", {}).items()}
     return ExperimentSpec(
-        name=exp["name"], operation=exp["operation"], seed=int(exp["seed"]),
-        params=params, ladders=ladders,
-        replicates=int(exp.get("replicates", "1")),
+        name=exp["name"], operation=exp["operation"], seed=seed,
+        params=params, ladders=ladders, replicates=replicates,
         output=exp.get("output", "runs"),
     )
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def _digest(path: Path) -> str:
@@ -132,13 +122,6 @@ class RunRecord:
     artifact_version: str
     digests: dict
     status: str
-
-    def to_dict(self):
-        return {
-            "spec_hash": self.spec_hash, "started": self.started,
-            "finished": self.finished, "artifact_version": self.artifact_version,
-            "digests": self.digests, "status": self.status,
-        }
 
 
 def run_experiment(spec: ExperimentSpec, root: Path | str | None = None,
@@ -163,10 +146,13 @@ def run_experiment(spec: ExperimentSpec, root: Path | str | None = None,
     started = time.time()
     digests = {}
 
-    def run_cell(label, params):
+    for label, params in spec.cells():
+        expected = {k: v for k, v in previous.items() if k.startswith(label + "/")}
+        if expected and all((run_dir / k).exists() and _digest(run_dir / k) == v
+                            for k, v in expected.items()):
+            digests.update(expected)
+            continue
         # work in a temp dir, atomically renamed on success
-        import shutil
-
         tmp_dir = run_dir / (label + ".tmp")
         if tmp_dir.exists():
             shutil.rmtree(tmp_dir)
@@ -176,34 +162,15 @@ def run_experiment(spec: ExperimentSpec, root: Path | str | None = None,
         if cell_dir.exists():
             shutil.rmtree(cell_dir)
         tmp_dir.replace(cell_dir)
-        out = {}
         for f in files:
-            rel = str(Path(label) / Path(f).name)
-            out[rel] = _digest(cell_dir / Path(f).name)
-        return out
-
-    todo = []
-    for label, params in spec.cells():
-        expected = {k: v for k, v in previous.items() if k.startswith(label + "/")}
-        if expected and all((run_dir / k).exists() and _digest(run_dir / k) == v
-                            for k, v in expected.items()):
-            digests.update(expected)
-        else:
-            todo.append((label, params))
-
-    if todo:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, len(todo))) as pool:
-            for cell_digests in pool.map(lambda lp: run_cell(*lp), todo):
-                digests.update(cell_digests)
+            digests[str(Path(label) / Path(f).name)] = _digest(cell_dir / Path(f).name)
     record = RunRecord(
         spec_hash=spec_hash, started=started, finished=time.time(),
         artifact_version=ARTIFACT_VERSION, digests=digests, status="complete",
     )
     payload = {"experiment": spec.name, "operation": spec.operation,
-               "anchor": op.anchor, **record.to_dict()}
-    manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+               "anchor": op.anchor, **asdict(record)}
+    write_json(manifest_path, payload)
     return record
 
 

@@ -155,6 +155,8 @@ def _chunked_mean(seed, n, sample, key_offset=0, chunk=CHUNK):
     the chunks of n samples.  The sums of v and v^2 are taken per chunk and
     added in chunk index order; a sample of shape (k, size) reduces each of
     its k rows."""
+    if n < 1:
+        raise ConfigurationError(f"need at least one sample, got n={n}")
     acc_sum = acc_sq = 0.0
     for rng, size in _chunks(seed, n, key_offset, chunk):
         v = sample(rng, size)
@@ -166,6 +168,8 @@ def _chunked_mean(seed, n, sample, key_offset=0, chunk=CHUNK):
 
 
 def _weight_grid(s, t, step):
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"step must be positive and finite, got {step}")
     m = max(2, int(math.ceil((t - s) / step)))
     return np.linspace(s, t, m + 1)
 

@@ -233,11 +233,11 @@ def conjectured_corrections(params: ModelParams) -> CorrectionReport:
 def params_to_config(params: ModelParams) -> str:
     """Serialize to a key/value section; floats use repr for exact round trip."""
     lines = ["[model]"]
-    lines.append(f"alpha = {params.alpha!r}")
-    lines.append(f"beta = {params.beta!r}")
+    lines.append(f"alpha = {float(params.alpha)!r}")
+    lines.append(f"beta = {float(params.beta)!r}")
     lines.append(f"rate_family = {params.rate_family.value}")
     if params.table is not None:
-        lines.append("table = " + ",".join(repr(v) for v in params.table.values))
+        lines.append("table = " + ",".join(repr(float(v)) for v in params.table.values))
     lines.append(f"validate_theorem_range = {params.validate_theorem_range}")
     return "\n".join(lines) + "\n"
 

@@ -6,9 +6,8 @@ mathematical object it exercises, which the report command displays.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -16,17 +15,18 @@ import numpy as np
 
 from . import mc, pde, sim, spectral
 from .errors import ConfigurationError
+from .files import write_csv, write_json
 from .model import ModelParams, RateFamily, derived_constants
 
 
 def _positive(v):
-    if not (isinstance(v, (int, float)) and v > 0):
-        raise ConfigurationError(f"expected a positive number, got {v!r}")
+    if not (isinstance(v, (int, float)) and 0 < v < math.inf):
+        raise ConfigurationError(f"expected a finite positive number, got {v!r}")
 
 
 def _nonneg(v):
-    if not (isinstance(v, (int, float)) and v >= 0):
-        raise ConfigurationError(f"expected a nonnegative number, got {v!r}")
+    if not (isinstance(v, (int, float)) and 0 <= v < math.inf):
+        raise ConfigurationError(f"expected a finite nonnegative number, got {v!r}")
 
 
 def _any(v):
@@ -38,6 +38,30 @@ def _count(v):
         raise ConfigurationError(f"expected a count >= 1, got {v!r}")
 
 
+def _seed(v):
+    if not (isinstance(v, int) and 0 <= v < 2 ** 64):
+        raise ConfigurationError(f"expected an integer in [0, 2**64), got {v!r}")
+
+
+def _given(v):
+    """A positive number the operation has no default for: required."""
+    _positive(v)
+
+
+def parse_value(text):
+    """A command-line or config value as an int, else a float, else the
+    stripped text; values that are not text pass through unchanged."""
+    if not isinstance(text, str):
+        return text
+    text = text.strip()
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
 @dataclass(frozen=True)
 class Operation:
     name: str
@@ -46,17 +70,29 @@ class Operation:
     run: Callable
     stochastic: bool = False
 
-    def validate(self, key, value):
-        fn = self.parameters.get(key)
-        if fn is not None:
-            fn(value)
-
-
-def _write_json(path: Path, payload: dict) -> str:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
+    def bind(self, raw: dict) -> dict:
+        """Parse and check the parameters of one run: every key must be
+        accepted, every required parameter (and, for a stochastic
+        operation, the seed) given, and every value pass its check, which
+        raises ValueError otherwise.  Returns the parsed parameters;
+        raises ConfigurationError."""
+        args = {k: parse_value(v) for k, v in raw.items()}
+        unknown = sorted(set(args) - set(self.parameters))
+        if unknown:
+            raise ConfigurationError(
+                f"parameter {unknown[0]!r} not accepted by {self.name!r} "
+                f"(accepts {sorted(self.parameters)})")
+        required = [k for k, check in self.parameters.items()
+                    if check is _given or (k == "seed" and self.stochastic)]
+        missing = [k for k in required if k not in args]
+        if missing:
+            raise ConfigurationError(f"{self.name!r} is missing {missing}")
+        for key, value in args.items():
+            try:
+                self.parameters[key](value)
+            except ValueError as exc:
+                raise ConfigurationError(f"{key}: {exc}") from None
+        return args
 
 
 def _params_from(args, default_family="SinPow"):
@@ -73,11 +109,7 @@ def _run_spectrum(args, out: Path):
     sys_ = spectral.solve_spectrum(
         float(args["alpha"]), int(args.get("n_max", 8)),
         accuracy=float(args.get("accuracy", 1e-8)), q=float(args.get("q", 1.0)))
-    csv = out / "eigensystem.csv"
-    js = out / "eigensystem.json"
-    sys_.export_csv(csv)
-    sys_.export_json(js)
-    return [str(csv), str(js)]
+    return [sys_.export_csv(out / "eigensystem.csv"), sys_.export_json(out / "eigensystem.json")]
 
 
 def _run_weyl(args, out: Path):
@@ -92,7 +124,7 @@ def _run_weyl(args, out: Path):
         "decreasing_10_20_40": bool(rep.decreasing_over([10, 20, 40]))
         if sys_.n_levels > 40 else None,
     }
-    return [_write_json(out / "weyl.json", payload)]
+    return [write_json(out / "weyl.json", payload)]
 
 
 def _run_pde(args, out: Path):
@@ -101,11 +133,7 @@ def _run_pde(args, out: Path):
                          cfl_pot=float(args.get("cfl", 0.02)))
     g = pde.fundamental_solution_g(float(args.get("xi", 0.0)), float(args["t_end"]),
                                    float(args["rho"]), float(args["alpha"]), grids)
-    csv = out / "field.csv"
-    js = out / "field.json"
-    g.field.export_csv(csv)
-    g.field.export_json(js)
-    return [str(csv), str(js)]
+    return [g.field.export_csv(out / "field.csv"), g.field.export_json(out / "field.json")]
 
 
 def _run_barriers(args, out: Path):
@@ -120,7 +148,7 @@ def _run_barriers(args, out: Path):
         "q_upper": pair.q_upper.value(t).tolist(),
         "max_violation_low": lo, "max_violation_high": hi,
     }
-    return [_write_json(out / "barriers.json", payload)]
+    return [write_json(out / "barriers.json", payload)]
 
 
 def _run_galerkin(args, out: Path):
@@ -134,7 +162,7 @@ def _run_galerkin(args, out: Path):
         "mixing": a_mat.tolist(),
         "quadrature_defect": defect,
     }
-    return [_write_json(out / "galerkin.json", payload)]
+    return [write_json(out / "galerkin.json", payload)]
 
 
 def _run_kernel_g(args, out: Path):
@@ -144,9 +172,8 @@ def _run_kernel_g(args, out: Path):
         grids=pde.PdeGrids(x_max=float(args.get("x_max", 8.0)),
                            dx=float(args.get("dx", 1.0 / 128.0)),
                            cfl_pot=float(args.get("cfl", 0.02))))
-    payload = {k: args[k] for k in args if k != "seed"}
-    payload["value"] = val
-    return [_write_json(out / "kernel.json", payload)]
+    payload = dict(args, value=val)
+    return [write_json(out / "kernel.json", payload)]
 
 
 # -- stochastic operations ----------------------------------------------------
@@ -157,7 +184,7 @@ def _run_mass(args, out: Path):
                                  float(args.get("x", 0.0)), p,
                                  int(args.get("n", 100000)),
                                  float(args.get("step", 0.1)), int(args["seed"]))
-    return [_write_json(out / "mass.json", est.to_json_dict(
+    return [write_json(out / "mass.json", est.to_json_dict(
         s=args["s"], t=args["t_end"], x=args.get("x", 0.0), seed=args["seed"],
         alpha=p.alpha, beta=p.beta))]
 
@@ -168,15 +195,13 @@ def _run_gtilde(args, out: Path):
                              float(args["t_end"]), float(args.get("y", 0.0)), p,
                              int(args.get("n", 100000)),
                              float(args.get("step", 0.04)), int(args["seed"]))
-    return [_write_json(out / "gtilde.json", est.to_json_dict(
+    return [write_json(out / "gtilde.json", est.to_json_dict(
         s=args["s"], t=args["t_end"], x=args.get("x", 0.0), y=args.get("y", 0.0),
         seed=args["seed"], alpha=p.alpha, beta=p.beta))]
 
 
-def _parse_list(text, cast=float):
-    if isinstance(text, (int, float)):
-        return [cast(text)]
-    return [cast(v) for v in str(text).split(",") if v.strip()]
+def _parse_list(text):
+    return [float(v) for v in str(text).split(",") if v.strip()]
 
 
 def _run_alpha2(args, out: Path):
@@ -186,7 +211,7 @@ def _run_alpha2(args, out: Path):
                                  int(args.get("n", 20000)),
                                  float(args.get("step", 0.1)), int(args["seed"]))
     rep["beta"] = float(args.get("beta", 1.0))
-    return [_write_json(out / "alpha2_fit.json", rep)]
+    return [write_json(out / "alpha2_fit.json", rep)]
 
 
 def _run_simulate(args, out: Path):
@@ -200,13 +225,9 @@ def _run_simulate(args, out: Path):
                                     snapshot_times=snaps,
                                     cap=int(args.get("cap", sim.DEFAULT_CAP)),
                                     consts=consts)
-    snap_csv = out / "snapshots.csv"
-    stats_csv = out / "stats.csv"
-    manifest = out / "run.json"
-    pop.export_snapshots_csv(snap_csv)
-    sim.export_stats_csv(stats_csv, [(0, stats)])
-    pop.export_manifest_json(manifest, p)
-    return [str(snap_csv), str(stats_csv), str(manifest)]
+    return [pop.export_snapshots_csv(out / "snapshots.csv"),
+            sim.export_stats_csv(out / "stats.csv", [(0, stats)]),
+            pop.export_manifest_json(out / "run.json", p)]
 
 
 def _run_couple(args, out: Path):
@@ -216,32 +237,23 @@ def _run_couple(args, out: Path):
                            snapshot_times=snaps,
                            cap=int(args.get("cap", sim.DEFAULT_CAP)),
                            include_homogeneous=bool(args.get("homogeneous", 0)))
-    files = []
-    sizes = {}
-    for key, (pop, _) in runs.items():
-        csv = out / f"snapshots_alpha_{key.replace('.', 'p')}.csv"
-        pop.export_snapshots_csv(csv)
-        files.append(str(csv))
-        sizes[key] = pop.size
-    files.append(_write_json(out / "coupling.json", {
+    files = [pop.export_snapshots_csv(out / f"snapshots_alpha_{key.replace('.', 'p')}.csv")
+             for key, (pop, _) in runs.items()]
+    sizes = {key: pop.size for key, (pop, _) in runs.items()}
+    return files + [write_json(out / "coupling.json", {
         "alphas": alphas, "sizes": sizes, "chain": "verified",
         "seed": args["seed"],
-    }))
-    return files
+    })]
 
 
 def _run_discrete(args, out: Path):
     p = _params_from(args)
     pop, _ = sim.run_discrete(p, int(args.get("n_end", 100)), int(args["seed"]),
                               cap=int(args.get("cap", sim.DEFAULT_CAP)))
-    csv = out / "lattice.csv"
-    with open(csv, "w", newline="") as fh:
-        fh.write("lineage_id,x,y\n")
-        for i in range(pop.size):
-            fh.write(f"{pop.lineage_hex(i)},{int(pop.x[i])},{int(pop.y[i])}\n")
-    manifest = out / "run.json"
-    pop.export_manifest_json(manifest, p)
-    return [str(csv), str(manifest)]
+    return [write_csv(out / "lattice.csv", ["lineage_id", "x", "y"],
+                      [[pop.lineage_hex(i) for i in range(pop.size)],
+                       pop.x.astype(np.int64), pop.y.astype(np.int64)]),
+            pop.export_manifest_json(out / "run.json", p)]
 
 
 def _functional_from(args, prefix=""):
@@ -255,7 +267,7 @@ def _run_mto1(args, out: Path):
     rep = sim.many_to_one_check(p, float(args["t_end"]), _functional_from(args),
                                 int(args.get("n_sim", 2000)),
                                 int(args.get("n_mc", 100000)), int(args["seed"]))
-    return [_write_json(out / "many_to_one.json", rep)]
+    return [write_json(out / "many_to_one.json", rep)]
 
 
 def _run_mto2(args, out: Path):
@@ -264,7 +276,7 @@ def _run_mto2(args, out: Path):
                                 _functional_from(args, "g_"),
                                 int(args.get("n_sim", 4000)),
                                 int(args.get("n_mc", 50000)), int(args["seed"]))
-    return [_write_json(out / "many_to_two.json", rep)]
+    return [write_json(out / "many_to_two.json", rep)]
 
 
 def _run_porism(args, out: Path):
@@ -277,74 +289,74 @@ def _run_porism(args, out: Path):
                            int(args.get("replicates", 200)), int(args["seed"]),
                            consts=consts, eps=float(args.get("eps", 0.25)))
     rep["rows"] = {repr(k): v for k, v in rep["rows"].items()}
-    return [_write_json(out / "porism.json", rep)]
+    return [write_json(out / "porism.json", rep)]
 
 
 REGISTRY = {
     "spectrum": Operation(
         "spectrum", "line-operator eigenpairs",
-        {"alpha": _positive, "n_max": _count, "accuracy": _positive, "q": _positive},
+        {"alpha": _given, "n_max": _count, "accuracy": _positive, "q": _positive},
         _run_spectrum),
     "weyl": Operation(
         "weyl", "eigenvalue growth law",
-        {"alpha": _positive, "n_max": _count, "accuracy": _positive}, _run_weyl),
+        {"alpha": _given, "n_max": _count, "accuracy": _positive}, _run_weyl),
     "pde": Operation(
         "pde", "killed-diffusion fundamental solution",
-        {"xi": _any, "t_end": _positive, "rho": _positive, "alpha": _positive,
+        {"xi": float, "t_end": _given, "rho": _given, "alpha": _given,
          "x_max": _positive, "dx": _positive, "cfl": _positive}, _run_pde),
     "barriers": Operation(
         "barriers", "sandwich coefficient pair",
-        {"t_end": _positive, "eps1": _positive, "eps2": _positive,
-         "alpha": _positive, "n_grid": _count}, _run_barriers),
+        {"t_end": _given, "eps1": _given, "eps2": _given,
+         "alpha": _given, "n_grid": _count}, _run_barriers),
     "galerkin": Operation(
         "galerkin", "eigenbasis gap and mixing matrices",
-        {"alpha": _positive, "n_modes": _count, "accuracy": _positive}, _run_galerkin),
+        {"alpha": _given, "n_modes": _count, "accuracy": _positive}, _run_galerkin),
     "kernel-g": Operation(
         "kernel-g", "weighted kernel via rescaled fundamental solution",
-        {"s": _positive, "x": _any, "t_end": _positive, "y": _any,
-         "beta": _positive, "alpha": _positive, "x_max": _positive,
+        {"s": _given, "x": float, "t_end": _given, "y": float,
+         "beta": _positive, "alpha": _given, "x_max": _positive,
          "dx": _positive, "cfl": _positive}, _run_kernel_g),
     "mass": Operation(
         "mass", "weighted-path total mass",
-        {"s": _positive, "t_end": _positive, "x": _any, "alpha": _positive,
-         "beta": _nonneg, "family": _any, "n": _count, "step": _positive,
-         "seed": _any}, _run_mass, stochastic=True),
+        {"s": _given, "t_end": _given, "x": float, "alpha": _positive,
+         "beta": _nonneg, "family": RateFamily, "n": _count, "step": _positive,
+         "seed": _seed}, _run_mass, stochastic=True),
     "gtilde": Operation(
         "gtilde", "bridge-conditioned weighted kernel",
-        {"s": _positive, "x": _any, "t_end": _positive, "y": _any,
-         "alpha": _positive, "beta": _nonneg, "family": _any, "n": _count,
-         "step": _positive, "seed": _any}, _run_gtilde, stochastic=True),
+        {"s": _given, "x": float, "t_end": _given, "y": float,
+         "alpha": _positive, "beta": _nonneg, "family": RateFamily, "n": _count,
+         "step": _positive, "seed": _seed}, _run_gtilde, stochastic=True),
     "alpha2": Operation(
         "alpha2", "quadratic-angle decay exponent",
-        {"beta": _positive, "s_list": _any, "t_end": _positive, "n": _count,
-         "step": _positive, "seed": _any}, _run_alpha2, stochastic=True),
+        {"beta": _positive, "s_list": _parse_list, "t_end": _positive, "n": _count,
+         "step": _positive, "seed": _seed}, _run_alpha2, stochastic=True),
     "simulate": Operation(
         "simulate", "continuous branching diffusion",
-        {"alpha": _positive, "beta": _positive, "family": _any,
-         "t_end": _positive, "snapshots": _any, "cap": _count, "seed": _any},
+        {"alpha": _positive, "beta": _positive, "family": RateFamily,
+         "t_end": _given, "snapshots": _parse_list, "cap": _count, "seed": _seed},
         _run_simulate, stochastic=True),
     "couple": Operation(
         "couple", "nested runs across the angular exponent",
-        {"alphas": _any, "t_end": _positive, "snapshots": _any, "cap": _count,
-         "homogeneous": _any, "seed": _any}, _run_couple, stochastic=True),
+        {"alphas": _parse_list, "t_end": _given, "snapshots": _parse_list, "cap": _count,
+         "homogeneous": _any, "seed": _seed}, _run_couple, stochastic=True),
     "discrete": Operation(
         "discrete", "lattice generation model",
-        {"alpha": _positive, "beta": _positive, "family": _any, "n_end": _count,
-         "cap": _count, "seed": _any}, _run_discrete, stochastic=True),
+        {"alpha": _positive, "beta": _positive, "family": RateFamily, "n_end": _count,
+         "cap": _count, "seed": _seed}, _run_discrete, stochastic=True),
     "mto1": Operation(
         "mto1", "single-spine moment identity",
-        {"alpha": _positive, "beta": _positive, "family": _any, "t_end": _positive,
-         "functional": _any, "x0": _any, "r0": _any, "n_sim": _count,
-         "n_mc": _count, "seed": _any}, _run_mto1, stochastic=True),
+        {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_end": _given,
+         "functional": _any, "x0": float, "r0": float, "n_sim": _count,
+         "n_mc": _count, "seed": _seed}, _run_mto1, stochastic=True),
     "mto2": Operation(
         "mto2", "two-spine moment identity",
-        {"alpha": _positive, "beta": _positive, "family": _any, "t_end": _positive,
-         "f_functional": _any, "f_x0": _any, "f_r0": _any,
-         "g_functional": _any, "g_x0": _any, "g_r0": _any,
-         "n_sim": _count, "n_mc": _count, "seed": _any}, _run_mto2, stochastic=True),
+        {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_end": _given,
+         "f_functional": _any, "f_x0": float, "f_r0": float,
+         "g_functional": _any, "g_x0": float, "g_r0": float,
+         "n_sim": _count, "n_mc": _count, "seed": _seed}, _run_mto2, stochastic=True),
     "porism": Operation(
         "porism", "extremal-particle localization probe",
-        {"alpha": _positive, "beta": _positive, "family": _any, "t_list": _any,
-         "replicates": _count, "eps": _positive, "cap": _count, "seed": _any},
+        {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_list": _parse_list,
+         "replicates": _count, "eps": _positive, "cap": _count, "seed": _seed},
         _run_porism, stochastic=True),
 }

@@ -22,7 +22,6 @@ never increases.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -39,6 +38,7 @@ from .errors import (
     NumericalFailure,
     ResourceError,
 )
+from .files import write_csv, write_json
 from .spectral import EigenSystem, derivative, rescale_to_q
 
 
@@ -250,13 +250,11 @@ class PdeField:
         return np.trapezoid(self.values, self.space_grid, axis=1)
 
     def export_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("t," + ",".join(f"u_{j}" for j in range(len(self.space_grid))) + "\n")
-            for t, row in zip(self.time_grid, self.values):
-                fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        return write_csv(path, ["t"] + [f"u_{j}" for j in range(len(self.space_grid))],
+                         [self.time_grid, *self.values.T])
 
     def export_json(self, path):
-        meta = {
+        return write_json(path, {
             "rho": self.rho,
             "alpha": self.alpha,
             "q": self.q_label,
@@ -265,10 +263,7 @@ class PdeField:
             "times": [float(t) for t in self.time_grid],
             "diagnostics": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                             for k, v in self.diagnostics.items()},
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 def _time_steps(rho, T, q: PiecewiseQ, grids: PdeGrids):
@@ -661,23 +656,17 @@ class CoefficientPath:
         return np.linalg.norm(self.coefficients, axis=1)
 
     def export_csv(self, path):
-        n = self.coefficients.shape[1]
-        with open(path, "w", newline="") as fh:
-            fh.write("t," + ",".join(f"c_{j}" for j in range(n)) + "\n")
-            for t, row in zip(self.times, self.coefficients):
-                fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        return write_csv(path, ["t"] + [f"c_{j}" for j in range(self.coefficients.shape[1])],
+                         [self.times, *self.coefficients.T])
 
     def export_json(self, path):
-        meta = {
+        return write_json(path, {
             "rho": self.rho, "alpha": self.alpha, "q": self.q_label,
             "n_modes": int(self.coefficients.shape[1]),
             "lambdas": [float(v) for v in self.lambdas],
             "tail_ratio": self.tail_ratio,
             "mixing_defect": self.mixing_defect,
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,

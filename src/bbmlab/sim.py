@@ -24,7 +24,6 @@ neighbours or stays put, with probability 1/5 each.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,6 +32,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DomainError
+from .files import write_csv, write_json
 from .mc import _chunked_mean, _march, _Trapezoid
 from .model import DerivedConstants, ModelParams, RateFamily, branching_rate
 from .rng import ROOT_ID, CounterRNG, child_id, mix_words
@@ -126,16 +126,20 @@ class Population:
         return float(xs[j]), float(ys[j])
 
     def export_snapshots_csv(self, path, replicate: int = 0):
-        with open(path, "w", newline="") as fh:
-            fh.write("replicate,time,lineage_id,x,y\n")
-            for t_snap in sorted(self.snapshots):
-                n_alive, xs, ys = self.snapshots[t_snap]
-                for i in range(n_alive):
-                    fh.write(f"{replicate},{t_snap!r},{self.lineage_hex(i)},"
-                             f"{xs[i]!r},{ys[i]!r}\n")
+        times = sorted(self.snapshots)
+        alive = [self.snapshots[t] for t in times]  # (n_alive, x, y) per time
+        counts = [n for n, _, _ in alive]
+        ids = [self.lineage_hex(i) for i in range(max(counts, default=0))]
+        return write_csv(path, ["replicate", "time", "lineage_id", "x", "y"], [
+            [replicate] * sum(counts),
+            np.repeat(times, counts),
+            [lid for n in counts for lid in ids[:n]],
+            np.concatenate([np.empty(0)] + [x[:n] for n, x, _ in alive]),
+            np.concatenate([np.empty(0)] + [y[:n] for n, _, y in alive]),
+        ])
 
     def export_manifest_json(self, path, params: ModelParams):
-        meta = {
+        return write_json(path, {
             "seed": self.rng_root_seed,
             "alpha": params.alpha,
             "beta": params.beta,
@@ -144,20 +148,15 @@ class Population:
             "particles": int(self.size),
             "cap": self.cap,
             "truncated": self.truncated,
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 def export_stats_csv(path, stats_by_replicate):
     """stats_by_replicate: iterable of (replicate, [ExtremalStats...])."""
-    with open(path, "w", newline="") as fh:
-        fh.write("replicate,t,M_t,max_X,argmax_Y,Z_t,barrier_ok\n")
-        for rep, stats in stats_by_replicate:
-            for st in stats:
-                fh.write(f"{rep},{st.t!r},{st.m_t!r},{st.max_x!r},"
-                         f"{st.argmax_y!r},{st.z_t!r},{int(st.barrier_ok)}\n")
+    rows = [(rep, st.t, st.m_t, st.max_x, st.argmax_y, st.z_t, int(st.barrier_ok))
+            for rep, stats in stats_by_replicate for st in stats]
+    return write_csv(path, ["replicate", "t", "M_t", "max_X", "argmax_Y", "Z_t", "barrier_ok"],
+                     list(zip(*rows)))
 
 
 class _Ledger:
@@ -535,6 +534,8 @@ def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
     E[F exp(int b)]; reports both sides with standard errors and a z-score."""
     if t > 3.0:
         raise ConfigurationError("t too large for the replicate budget (use t <= 3)")
+    if n_sim < 1 or n_mc < 1:
+        raise ConfigurationError(f"need n_sim >= 1 and n_mc >= 1, got {n_sim}, {n_mc}")
     # the spine side first: it rejects snapshot times off its grid
     mc_mean, mc_se = _mc_spine_one(params, t, functional, n_mc, seed + 1, dt=dt_mc)
     snap = functional.snapshot_times(t)
@@ -610,6 +611,8 @@ def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
     int_r^t b^2)."""
     if t > 2.5:
         raise ConfigurationError("t too large for the replicate budget (use t <= 2.5)")
+    if n_sim < 1 or n_mc < 1:
+        raise ConfigurationError(f"need n_sim >= 1 and n_mc >= 1, got {n_sim}, {n_mc}")
     for fn in (f, g):
         if fn.kind == "x_cylinder":
             raise ConfigurationError("cylinder functionals unsupported in the pair check")

@@ -16,7 +16,6 @@ Only q = 1 is ever solved directly; other q follow from the exact scaling
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -25,6 +24,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NumericalFailure
+from .files import write_csv, write_json
 
 DEFAULT_H = 1.0 / 256.0
 DEFAULT_ACCURACY = 1e-8
@@ -91,16 +91,11 @@ class EigenSystem:
         return float(self.grid[1] - self.grid[0])
 
     def export_csv(self, path):
-        cols = [self.grid] + [self.eigenfunctions[n] for n in range(self.n_levels)]
-        header = ",".join(["x"] + [f"phi_{n}" for n in range(self.n_levels)])
-        data = np.column_stack(cols)
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        return write_csv(path, ["x"] + [f"phi_{n}" for n in range(self.n_levels)],
+                         [self.grid, *self.eigenfunctions[:self.n_levels]])
 
     def export_json(self, path):
-        meta = {
+        return write_json(path, {
             "alpha": self.alpha,
             "q": self.q,
             "lambdas": [float(v) for v in self.eigenvalues],
@@ -109,10 +104,7 @@ class EigenSystem:
                 "solver_h": self.h,
                 "error_estimates": [float(v) for v in self.error_estimates],
             },
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 def weyl_constant(alpha: float) -> float:

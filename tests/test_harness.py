@@ -1,4 +1,5 @@
-import json
+import csv
+import re
 
 import pytest
 
@@ -116,3 +117,91 @@ class TestCli:
         f1 = (out1 / "simulate" / "snapshots.csv").read_bytes()
         f2 = (out2 / "simulate" / "snapshots.csv").read_bytes()
         assert f1 == f2
+
+
+def _accepts(check, value):
+    try:
+        check(value)
+    except ValueError:  # ConfigurationError included
+        return False
+    return True
+
+
+ZERO_REJECTED = [(name, key) for name, op in operations.REGISTRY.items()
+                 for key, check in op.parameters.items() if not _accepts(check, 0)]
+
+
+class TestBoundary:
+    """Every bad input exits with code 1 and a one-line message, never a traceback."""
+
+    def _fails(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("validation error") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name,key", ZERO_REJECTED)
+    def test_zero_rejected(self, name, key, tmp_path, capsys):
+        op = operations.REGISTRY[name]
+        argv = [name, "--out", str(tmp_path), f"--{key.replace('_', '-')}", "0"]
+        for other, check in op.parameters.items():
+            if other != key and _accepts(check, 1):
+                argv += [f"--{other.replace('_', '-')}", "1"]
+        assert f"{key}:" in self._fails(argv, capsys)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["mass", "--seed", "1"],
+        ["mass", "--s", "4", "--t-end", "8", "--seed", str(2 ** 64)],
+        ["mass", "--s", "1", "--t-end", "inf", "--seed", "1"],
+        ["simulate", "--t-end", "1", "--seed", "1", "--family", "Foo"],
+        ["couple", "--t-end", "1", "--seed", "1", "--alphas", "a,b"],
+        ["accept", "--only", "x"],
+    ], ids=["missing-s", "seed-2**64", "t_end-inf", "family-Foo", "alphas-a,b", "only-x"])
+    def test_bad_flags(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BBMLAB_OUT", raising=False)
+        self._fails(argv, capsys)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text", [
+        "garbage",
+        CFG.replace("seed = 1", "seed = abc"),
+        CFG.replace("replicates = 1", "replicates = two"),
+        CFG.replace("operation = spectrum", "operation = porism").replace(
+            "seed = 1", "seed = -1").replace("n_max", "replicates"),
+        "[experiment]\nname = m\noperation = mass\nseed = 1\n[params]\nt_end = 8\n",
+    ], ids=["garbage", "seed-abc", "replicates-two", "seed-negative", "mass-without-s"])
+    def test_bad_config(self, text, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        self._fails(["run", str(cfg), "--out", str(tmp_path / "runs")], capsys)
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        self._fails(["run", str(tmp_path / "absent.cfg")], capsys)
+
+    def test_force_reruns_every_cell(self, tmp_path):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CFG)
+        argv = ["run", str(cfg), "--out", str(tmp_path / "runs")]
+        assert main(argv) == 0
+        marker = next((tmp_path / "runs").rglob("*.csv")).parent / "marker"
+        marker.touch()
+        assert main(argv) == 0 and marker.exists()  # a completed cell is skipped
+        assert main(argv + ["--force"]) == 0 and not marker.exists()
+
+    def test_result_csv_cells_are_numbers_or_ids(self, tmp_path):
+        for argv in (["simulate", "--alpha", "1", "--t-end", "3", "--snapshots", "1.5,3"],
+                     ["couple", "--alphas", "1,2", "--t-end", "3", "--snapshots", "1.5,3"],
+                     ["discrete", "--alpha", "1", "--n-end", "6"]):
+            assert main(argv + ["--seed", "5", "--out", str(tmp_path)]) == 0
+        tables = sorted(tmp_path.rglob("*.csv"))
+        assert {p.name for p in tables} >= {"snapshots.csv", "stats.csv", "lattice.csv",
+                                           "snapshots_alpha_1p0.csv"}
+        for table in tables:
+            rows = list(csv.reader(table.read_text().splitlines()))[1:]
+            assert rows
+            for cell in (c for row in rows for c in row):
+                if not re.fullmatch(r"[0-9a-f]{32}", cell):
+                    float(cell)  # an int parses as a float too

@@ -6,6 +6,8 @@ import pytest
 from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.mc import (
     ErrorEnvelope,
+    PathSampler,
+    _chunked_mean,
     _monotone_on_grid,
     alpha2_exponent_fit,
     bessel_density,
@@ -96,6 +98,20 @@ class TestTotalMass:
             estimate_total_mass(4.0, 8.0, 0.0, P11, 1000, 3.0, seed=1)
         with pytest.raises(DomainError):
             estimate_total_mass(8.0, 4.0, 0.0, P11, 1000, 0.1, seed=1)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_step_positive_and_finite(self, step):
+        # a zero step divided by zero; a negative one ran on a 2-step grid
+        with pytest.raises(DomainError):
+            estimate_total_mass(1.0, 2.0, 0.0, ModelParams(alpha=1), 1000, step, 1)
+        with pytest.raises(DomainError):
+            bridge_barrier_mc(0.0, 0.0, 1.0, 0.0, 1.0, 1000, step, 1)
+        with pytest.raises(DomainError):
+            PathSampler(1, step).paths(10, 0.0, 1.0, 0.0)
+
+    def test_reducer_needs_a_sample(self):
+        with pytest.raises(ConfigurationError):
+            _chunked_mean(1, 0, lambda rng, size: rng.standard_normal(size))
 
     def test_value_in_unit_interval(self):
         env = make_envelope(1.0, 1.0, 1.0, 1.0)

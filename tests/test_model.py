@@ -200,6 +200,12 @@ class TestConfigRoundTrip:
         q = params_from_config(params_to_config(p))
         assert q.table.values == p.table.values
 
+    def test_numpy_float_round_trip(self):
+        # numpy 2 reprs np.float64 as "np.float64(...)", which did not parse back
+        p = ModelParams(alpha=np.float64(1.25), beta=np.float64(0.5))
+        q = params_from_config(params_to_config(p))
+        assert (q.alpha, q.beta) == (1.25, 0.5)
+
     def test_missing_section(self):
         with pytest.raises(ConfigurationError):
             params_from_config("[other]\nx = 1\n")

@@ -255,6 +255,19 @@ class TestManyToFew:
         rep = many_to_two_check(P_SIN, 1.0, f, f, 100, 1000, seed=2)
         assert rep["sim"] == 0.0 and rep["mc"] == 0.0
 
+    def test_sample_sizes_rejected_before_simulating(self, monkeypatch):
+        import bbmlab.sim
+
+        monkeypatch.setattr(bbmlab.sim, "run_continuous",
+                            lambda *a, **k: pytest.fail("simulated before checking"))
+        # n_mc = 0 ended in ZeroDivisionError after the simulations
+        for n_sim, n_mc in ((5, 0), (0, 100)):
+            with pytest.raises(ConfigurationError):
+                many_to_one_check(P_SIN, 1.0, PathFunctional("one"), n_sim, n_mc, 1)
+            with pytest.raises(ConfigurationError):
+                many_to_two_check(P_SIN, 1.0, PathFunctional("one"),
+                                  PathFunctional("one"), n_sim, n_mc, 1)
+
     def test_unsupported_functional(self):
         with pytest.raises(ConfigurationError):
             many_to_one_check(P_SIN, 2.0, PathFunctional("weird"), 100, 1000, seed=1)
