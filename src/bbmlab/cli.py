@@ -2,8 +2,8 @@
 
 One subcommand per public operation, plus `run` (experiment config file),
 `accept` (the acceptance suite) and `report`.  Stochastic subcommands
-require --seed.  Exit codes: 0 pass, 1 validation error, 2 numerical
-failure, 3 acceptance failure.
+require --seed and deterministic ones refuse it.  Exit codes: 0 pass,
+1 validation or output error, 2 numerical failure, 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ def _add_operation_parsers(sub):
             if param == "seed":
                 continue
             p.add_argument(f"--{param.replace('_', '-')}", dest=param, default=None)
-        # parsed and required by Operation.bind, so a bad or missing seed
-        # exits with code 1 rather than argparse's 2
+        # parsed by Operation.bind, which requires it for a stochastic
+        # operation and rejects it for a deterministic one, so a bad,
+        # missing or needless seed exits with code 1 rather than argparse's 2
         p.add_argument("--seed", default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(_operation=name)
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
 
         # a registry operation
         op = operations.REGISTRY[args._operation]
-        params = op.bind({key: getattr(args, key) for key in op.parameters
+        params = op.bind({key: getattr(args, key) for key in [*op.parameters, "seed"]
                           if getattr(args, key) is not None})
         out = Path(args.out or os.environ.get(DEFAULT_ROOT_ENV, "runs")) / op.name
         out.mkdir(parents=True, exist_ok=True)
@@ -116,6 +117,9 @@ def main(argv=None) -> int:
     except (NumericalFailure, AccuracyError, ResourceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output directory or file that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

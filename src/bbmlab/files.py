@@ -5,11 +5,15 @@ documents have indent 2, sorted keys and a final newline.  CSV tables have
 a header row, then one row per record whose cells are the str() of Python
 scalars: numpy columns are turned into lists first, so a float cell is its
 shortest round-trip repr (never a numpy repr such as `np.float64(...)`).
+Tables are formatted a column at a time, in blocks of rows, so the text
+of a table is built one block at a time and never held whole.
 """
 
 from __future__ import annotations
 
 import json
+
+ROWS_PER_BLOCK = 1 << 16
 
 
 def write_json(path, payload) -> str:
@@ -20,11 +24,18 @@ def write_json(path, payload) -> str:
     return str(path)
 
 
+def _cells(column):
+    """The cells of a block of one column (numpy array or list) as text."""
+    return map(str, column.tolist() if hasattr(column, "tolist") else column)
+
+
 def write_csv(path, header, columns) -> str:
     """Write equal-length columns (numpy arrays or lists) under the header
     names; returns the path as a string."""
-    cols = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+    n_rows = min((len(c) for c in columns), default=0)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
+        for start in range(0, n_rows, ROWS_PER_BLOCK):
+            block = [_cells(c[start:start + ROWS_PER_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
     return str(path)

@@ -38,6 +38,11 @@ def _count(v):
         raise ConfigurationError(f"expected a count >= 1, got {v!r}")
 
 
+def _flag(v):
+    if not (isinstance(v, int) and v in (0, 1)):
+        raise ConfigurationError(f"expected 0 or 1, got {v!r}")
+
+
 def _seed(v):
     if not (isinstance(v, int) and 0 <= v < 2 ** 64):
         raise ConfigurationError(f"expected an integer in [0, 2**64), got {v!r}")
@@ -74,9 +79,11 @@ class Operation:
         """Parse and check the parameters of one run: every key must be
         accepted, every required parameter (and, for a stochastic
         operation, the seed) given, and every value pass its check, which
-        raises ValueError otherwise.  Returns the parsed parameters;
-        raises ConfigurationError."""
+        raises ValueError otherwise.  A deterministic operation takes no
+        seed.  Returns the parsed parameters; raises ConfigurationError."""
         args = {k: parse_value(v) for k, v in raw.items()}
+        if "seed" in args and not self.stochastic:
+            raise ConfigurationError(f"{self.name!r} is deterministic and takes no seed")
         unknown = sorted(set(args) - set(self.parameters))
         if unknown:
             raise ConfigurationError(
@@ -251,7 +258,7 @@ def _run_discrete(args, out: Path):
     pop, _ = sim.run_discrete(p, int(args.get("n_end", 100)), int(args["seed"]),
                               cap=int(args.get("cap", sim.DEFAULT_CAP)))
     return [write_csv(out / "lattice.csv", ["lineage_id", "x", "y"],
-                      [[pop.lineage_hex(i) for i in range(pop.size)],
+                      [pop.lineage_hexes(pop.size),
                        pop.x.astype(np.int64), pop.y.astype(np.int64)]),
             pop.export_manifest_json(out / "run.json", p)]
 
@@ -338,7 +345,7 @@ REGISTRY = {
     "couple": Operation(
         "couple", "nested runs across the angular exponent",
         {"alphas": _parse_list, "t_end": _given, "snapshots": _parse_list, "cap": _count,
-         "homogeneous": _any, "seed": _seed}, _run_couple, stochastic=True),
+         "homogeneous": _flag, "seed": _seed}, _run_couple, stochastic=True),
     "discrete": Operation(
         "discrete", "lattice generation model",
         {"alpha": _positive, "beta": _positive, "family": RateFamily, "n_end": _count,

@@ -7,8 +7,16 @@ generators cannot be vectorized across thousands of per-particle streams,
 so we use a stateless 64-bit mixing function (splitmix64 finalizer,
 Stafford variant 13) applied to the tuple (seed, id_hi, id_lo, counter).
 
+The mix is a chain, one word at a time, so the prefix (seed, id_hi, id_lo)
+is mixed once per particle set into a lineage key (`CounterRNG.key`) and
+every draw then mixes only its counter into that key: one finalizer pass
+per draw, with bits identical to mixing the whole tuple.  Counter-based
+generators split key and counter the same way (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).
+
 Uniforms are mapped to (0, 1), normals via the exact inverse CDF and
-exponentials via -log(U); all are vectorized over particle arrays.
+exponentials via -log(U); all are vectorized over particle arrays, and all
+draw through `CounterRNG.uniform`.
 """
 
 import numpy as np
@@ -23,11 +31,18 @@ ROOT_ID = (np.uint64(0), np.uint64(1))
 
 
 def _mix64(x):
-    x = x ^ (x >> np.uint64(30))
-    x = x * _MIX1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _MIX2
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer; works in place, so x must be a fresh value."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _absorb(h, w):
+    """Mix one more word into the chain value h."""
+    return _mix64((h + _GOLDEN) ^ np.asarray(w, dtype=np.uint64))
 
 
 def mix_words(*words):
@@ -39,7 +54,7 @@ def mix_words(*words):
     with np.errstate(over="ignore"):
         h = np.uint64(0x243F6A8885A308D3)
         for w in words:
-            h = _mix64((h + _GOLDEN) ^ np.asarray(w, dtype=np.uint64))
+            h = _absorb(h, w)
     return h
 
 
@@ -53,20 +68,29 @@ def child_id(parent_hi, parent_lo, event_index):
 
 
 class CounterRNG:
-    """Stateless stream: draw k-th variate of lineage (hi, lo) under a seed."""
+    """Stateless stream: draw the k-th variate of a lineage under a seed.
+
+    `key(hi, lo)` mixes the seed and the lineage id once; the draws take
+    that key and a counter slot, so `uniform(key(hi, lo), ctr)` equals the
+    uniform of `mix_words(seed, hi, lo, ctr)` bit for bit."""
 
     def __init__(self, seed):
         self.seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
-    def uniform(self, hi, lo, ctr):
+    def key(self, hi, lo):
+        """Lineage key of the ids (hi, lo) under this seed."""
+        return mix_words(self.seed, hi, lo)
+
+    def uniform(self, key, ctr):
         """U(0,1) from counter slot `ctr`; never returns exactly 0 or 1."""
-        bits = mix_words(self.seed, hi, lo, np.asarray(ctr, dtype=np.uint64))
-        # 53 significant bits, shifted into (0, 1)
+        with np.errstate(over="ignore"):
+            bits = _absorb(key, ctr)
+        # 53 significant bits, shifted into (0, 1); only a zero moves up
         u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return np.where(u <= 0.0, 2.0 ** -54, u)
+        return np.maximum(u, 2.0 ** -54)
 
-    def exponential(self, hi, lo, ctr):
-        return -np.log(self.uniform(hi, lo, ctr))
+    def exponential(self, key, ctr):
+        return -np.log(self.uniform(key, ctr))
 
-    def normal(self, hi, lo, ctr):
-        return ndtri(self.uniform(hi, lo, ctr))
+    def normal(self, key, ctr):
+        return ndtri(self.uniform(key, ctr))

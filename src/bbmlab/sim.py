@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DomainError
-from .files import write_csv, write_json
+from .files import ROWS_PER_BLOCK, write_csv, write_json
 from .mc import _chunked_mean, _march, _Trapezoid
 from .model import DerivedConstants, ModelParams, RateFamily, branching_rate
 from .rng import ROOT_ID, CounterRNG, child_id, mix_words
@@ -100,6 +101,17 @@ class Population:
     def lineage_hex(self, i: int) -> str:
         return f"{int(self.lid_hi[i]):016x}{int(self.lid_lo[i]):016x}"
 
+    def lineage_hexes(self, n: int) -> list:
+        """`lineage_hex(i)` for i < n.  Each block of ids is written out as
+        one big-endian hex string (high word first) and sliced."""
+        ids = []
+        for start in range(0, n, ROWS_PER_BLOCK):
+            stop = min(n, start + ROWS_PER_BLOCK)
+            words = np.column_stack([self.lid_hi[start:stop], self.lid_lo[start:stop]])
+            text = words.astype(">u8").tobytes().hex()
+            ids += [text[k:k + 32] for k in range(0, len(text), 32)]
+        return ids
+
     def particle(self, i: int) -> Particle:
         p = int(self.parent[i])
         parent_id = None if p < 0 else (int(self.lid_hi[p]) << 64) | int(self.lid_lo[p])
@@ -129,11 +141,11 @@ class Population:
         times = sorted(self.snapshots)
         alive = [self.snapshots[t] for t in times]  # (n_alive, x, y) per time
         counts = [n for n, _, _ in alive]
-        ids = [self.lineage_hex(i) for i in range(max(counts, default=0))]
+        ids = self.lineage_hexes(max(counts, default=0))
         return write_csv(path, ["replicate", "time", "lineage_id", "x", "y"], [
             [replicate] * sum(counts),
             np.repeat(times, counts),
-            [lid for n in counts for lid in ids[:n]],
+            list(chain.from_iterable(ids[:n] for n in counts)),
             np.concatenate([np.empty(0)] + [x[:n] for n, x, _ in alive]),
             np.concatenate([np.empty(0)] + [y[:n] for n, _, y in alive]),
         ])
@@ -174,7 +186,7 @@ class _Ledger:
         self.t_mat = np.array([t0])
         self.ctr = np.zeros(1, dtype=np.uint64)
         self.prop_idx = np.zeros(1, dtype=np.uint64)
-        wait = self.rng.exponential(self.lid_hi, self.lid_lo, self.ctr)
+        wait = self.rng.exponential(self.rng.key(self.lid_hi, self.lid_lo), self.ctr)
         self.ctr += np.uint64(1)
         self.t_prop = t0 + wait
 
@@ -199,9 +211,9 @@ class _Ledger:
         sub = idx[move]
         base = self._take(sub, 2)
         sd = np.sqrt(dt[move])
-        hi, lo = self.lid_hi[sub], self.lid_lo[sub]
-        self.x[sub] += sd * self.rng.normal(hi, lo, base)
-        self.y[sub] += sd * self.rng.normal(hi, lo, base + np.uint64(1))
+        key = self.rng.key(self.lid_hi[sub], self.lid_lo[sub])
+        self.x[sub] += sd * self.rng.normal(key, base)
+        self.y[sub] += sd * self.rng.normal(key, base + np.uint64(1))
         self.t_mat[sub] = to_time
 
 
@@ -228,14 +240,14 @@ class _Ledger:
             dt = tau - self.t_mat[active]
             base = self._take(active, 4)
             sd = np.sqrt(np.maximum(dt, 0.0))
-            hi, lo = self.lid_hi[active], self.lid_lo[active]
-            self.x[active] += sd * self.rng.normal(hi, lo, base)
-            self.y[active] += sd * self.rng.normal(hi, lo, base + np.uint64(1))
+            key = self.rng.key(self.lid_hi[active], self.lid_lo[active])
+            self.x[active] += sd * self.rng.normal(key, base)
+            self.y[active] += sd * self.rng.normal(key, base + np.uint64(1))
             self.t_mat[active] = tau
             theta = np.arctan2(self.y[active], self.x[active])
             rate = branching_rate(theta, params)
-            u = self.rng.uniform(hi, lo, base + np.uint64(2))
-            wait = self.rng.exponential(hi, lo, base + np.uint64(3))
+            u = self.rng.uniform(key, base + np.uint64(2))
+            wait = self.rng.exponential(key, base + np.uint64(3))
             self.prop_idx[active] += np.uint64(1)
             self.t_prop[active] = tau + wait
 
@@ -261,8 +273,7 @@ class _Ledger:
                 self.t_mat = np.concatenate([self.t_mat, tau[split]])
                 self.prop_idx = np.concatenate([self.prop_idx,
                                                 np.zeros(n_new, dtype=np.uint64)])
-                ctr0 = np.zeros(n_new, dtype=np.uint64)
-                cwait = self.rng.exponential(chi, clo, ctr0)
+                cwait = self.rng.exponential(self.rng.key(chi, clo), np.uint64(0))
                 self.ctr = np.concatenate([self.ctr,
                                            np.ones(n_new, dtype=np.uint64)])
                 self.t_prop = np.concatenate([self.t_prop, tau[split] + cwait])
@@ -372,15 +383,30 @@ def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
                                    cap=cap, consts=consts)
 
     snaps = sorted(set(float(s) for s in snapshot_times) | {float(t_end)})
-    chain_ok = True
+    pops = [runs[key][0] for key, _ in members]
     for t_b in snaps:
-        sets = [runs[key][0].lineage_ids(at_time=t_b) for key, _ in members]
-        for small, big in zip(sets, sets[1:]):
-            if not small.issubset(big):
-                chain_ok = False
-    if not chain_ok:
-        raise AssertionError("coupled lineage sets failed the inclusion chain")
+        alive = [p.birth <= t_b for p in pops]
+        if not _chain_holds([_id_rows(p.lid_hi[a], p.lid_lo[a]) for p, a in zip(pops, alive)]):
+            raise AssertionError("coupled lineage sets failed the inclusion chain")
     return {key: runs[key] for key, _ in members}
+
+
+def _id_rows(hi, lo):
+    """128-bit lineage ids (hi, lo) as one 16-byte item each, for exact
+    set tests in numpy."""
+    return np.column_stack([hi, lo]).view(np.dtype((np.void, 16))).ravel()
+
+
+def _chain_holds(id_sets) -> bool:
+    """Whether each set of `_id_rows` is contained in the next one."""
+    return all(np.isin(small, big).all() for small, big in zip(id_sets, id_sets[1:]))
+
+
+def _child_index(n_children):
+    """Rank of every child among its parent's children, parents in order:
+    the concatenated `arange(k)` for k in n_children, as uint64."""
+    first = np.cumsum(n_children) - n_children
+    return (np.arange(int(n_children.sum())) - np.repeat(first, n_children)).astype(np.uint64)
 
 
 def run_discrete(params: ModelParams, n_end: int, seed: int,
@@ -388,7 +414,8 @@ def run_discrete(params: ModelParams, n_end: int, seed: int,
     """Synchronous lattice model on Z^2; returns (Population, events).
 
     Each particle consumes two counter slots per generation of life: one
-    for its arrival move (at birth) and one for the offspring decision.
+    for its arrival move (at birth) and one for the offspring decision;
+    its lineage key is mixed once, at birth, for both.
     events (when recorded) is a list of (theta, n_children) arrays.
     """
     if n_end < 1:
@@ -397,6 +424,7 @@ def run_discrete(params: ModelParams, n_end: int, seed: int,
     hi0, lo0 = ROOT_ID
     lid_hi = np.array([hi0], dtype=np.uint64)
     lid_lo = np.array([lo0], dtype=np.uint64)
+    key = rng.key(lid_hi, lid_lo)
     parent = np.array([-1], dtype=np.int64)
     birth = np.array([0.0])
     x = np.zeros(1, dtype=np.int64)
@@ -409,7 +437,7 @@ def run_discrete(params: ModelParams, n_end: int, seed: int,
     for gen in range(1, n_end + 1):
         theta = np.arctan2(y.astype(float), x.astype(float))
         rate = branching_rate(theta, params)
-        u = rng.uniform(lid_hi, lid_lo, np.ones(len(x), dtype=np.uint64))
+        u = rng.uniform(key, np.uint64(1))
         two = u <= rate
         n_children = np.where(two, 2, 1).astype(np.int64)
         if record_events:
@@ -420,10 +448,9 @@ def run_discrete(params: ModelParams, n_end: int, seed: int,
             gen -= 1
             break
         rep = np.repeat(np.arange(len(x)), n_children)
-        child_index = np.concatenate([np.arange(k) for k in n_children]).astype(np.uint64) \
-            if len(n_children) else np.empty(0, dtype=np.uint64)
-        chi, clo = child_id(lid_hi[rep], lid_lo[rep], child_index)
-        mv = np.floor(rng.uniform(chi, clo, np.zeros(total, dtype=np.uint64)) * 5.0)
+        chi, clo = child_id(lid_hi[rep], lid_lo[rep], _child_index(n_children))
+        key = rng.key(chi, clo)
+        mv = np.floor(rng.uniform(key, np.uint64(0)) * 5.0)
         mv = np.minimum(mv.astype(np.int64), 4)
         x = x[rep] + moves[mv, 0]
         y = y[rep] + moves[mv, 1]

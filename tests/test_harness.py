@@ -205,3 +205,48 @@ class TestBoundary:
             for cell in (c for row in rows for c in row):
                 if not re.fullmatch(r"[0-9a-f]{32}", cell):
                     float(cell)  # an int parses as a float too
+
+    @pytest.mark.parametrize("value", ["no", "yes", "2", "-1", "0.5", "1.0", "true"])
+    def test_homogeneous_is_0_or_1(self, value, tmp_path, capsys):
+        argv = ["couple", "--alphas", "1", "--t-end", "0.5", "--seed", "1",
+                "--homogeneous", value, "--out", str(tmp_path)]
+        assert "homogeneous:" in self._fails(argv, capsys)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value,members", [("0", {"1p0"}), ("1", {"1p0", "inf"})])
+    def test_homogeneous_member(self, value, members, tmp_path):
+        assert main(["couple", "--alphas", "1", "--t-end", "0.5", "--seed", "1",
+                     "--homogeneous", value, "--out", str(tmp_path)]) == 0
+        written = {p.stem.removeprefix("snapshots_alpha_")
+                   for p in (tmp_path / "couple").glob("snapshots_alpha_*.csv")}
+        assert written == members
+
+    @pytest.mark.parametrize("name", sorted(n for n, op in operations.REGISTRY.items()
+                                            if not op.stochastic))
+    def test_deterministic_operations_take_no_seed(self, name, tmp_path, capsys):
+        assert "takes no seed" in self._fails([name, "--seed", "4", "--out", str(tmp_path)],
+                                              capsys)
+        assert not any(tmp_path.iterdir())
+        with pytest.raises(ConfigurationError, match="takes no seed"):
+            operations.REGISTRY[name].bind({"seed": 4})
+
+    def _output_fails(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("output error") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        self._output_fails(["spectrum", "--alpha", "1", "--n-max", "1",
+                            "--out", str(blocker)], capsys)
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CFG)
+        self._output_fails(["run", str(cfg), "--out", str(blocker)], capsys)
+        assert blocker.read_text() == ""
+
+    def test_result_file_cannot_be_written(self, tmp_path, capsys):
+        (tmp_path / "spectrum" / "eigensystem.csv").mkdir(parents=True)
+        self._output_fails(["spectrum", "--alpha", "1", "--n-max", "1",
+                            "--out", str(tmp_path)], capsys)

@@ -1,0 +1,179 @@
+"""Result-file bytes and the array forms of the per-particle steps in `sim`.
+
+The sha256 digests below pin the CSV bytes of small `simulate`, `couple` and
+`discrete` runs.  They were taken before the per-particle loops of `sim`
+(hex ids, CSV rows, the lattice child index, the chain check) and the
+per-draw lineage mixing of `rng` became array operations, which must leave
+every byte and every random stream as it was.  Recorded with numpy 2.4 and
+scipy 1.17 on x86-64; a platform whose libm rounds `log`, `arctan2` or
+`ndtri` differently in the last bit may need them re-taken from a tree that
+predates the change.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bbmlab.cli import main
+from bbmlab.files import ROWS_PER_BLOCK, write_csv
+from bbmlab.model import ModelParams, RateFamily
+from bbmlab.rng import CounterRNG, mix_words
+from bbmlab.sim import (
+    _chain_holds,
+    _child_index,
+    _id_rows,
+    run_continuous,
+    run_coupled,
+    run_discrete,
+)
+
+PINNED_RUNS = [
+    ["simulate", "--alpha", "1.5", "--t-end", "5", "--snapshots", "2.5,5", "--seed", "7"],
+    ["couple", "--alphas", "0.5,1,2", "--t-end", "4", "--snapshots", "2,4", "--seed", "5",
+     "--homogeneous", "1"],
+    ["discrete", "--alpha", "1", "--n-end", "12", "--seed", "3"],
+]
+PINNED_SHA256 = {
+    "simulate/snapshots.csv": "0f247bd5022bf7fe76196c1597f848d92c92e3d00be7a42a2918b0a18329bb5b",
+    "simulate/stats.csv": "bc1f44728b0589aa2378b3e80c7fbf8c16863fb9e9842f38d17ce1185890aef8",
+    "couple/snapshots_alpha_0p5.csv": "74d097e8081807d44f6179ac251ad3f100843395b1bee23427279fb498396751",
+    "couple/snapshots_alpha_1p0.csv": "2343ad31e9496ceb7ed30d0041ac03f2d312e9377e530f96504dce510ba0d386",
+    "couple/snapshots_alpha_2p0.csv": "5bf171c94aa14401dcd2ec74567693c07d540bcfcd9bf12989619d5014af62dc",
+    "couple/snapshots_alpha_inf.csv": "de44114ac4778c5d0f66c6c9781dd836aa02ca5f987c0390ee6ee5768cea1cdd",
+    "discrete/lattice.csv": "4326f528a2d7f49cd99d5299c92aa4d6d8949cb2d1deaa7d11fbcd64e31d4417",
+}
+
+
+def test_pinned_csv_bytes(tmp_path):
+    for argv in PINNED_RUNS:
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    written = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*.csv")}
+    assert written == PINNED_SHA256
+
+
+class TestLineageIds:
+    def test_hexes_match_one_by_one(self):
+        pop, _ = run_continuous(ModelParams(alpha=1.0), 3.0, 11)
+        assert pop.size > 5
+        assert pop.lineage_hexes(pop.size) == [pop.lineage_hex(i) for i in range(pop.size)]
+        assert pop.lineage_hexes(3) == [pop.lineage_hex(i) for i in range(3)]
+        assert pop.lineage_hexes(0) == []
+
+    def test_hexes_across_blocks(self):
+        pop, _ = run_discrete(ModelParams(alpha=1.0, rate_family=RateFamily.HOMOGENEOUS), 17, 2)
+        assert pop.size == 2 ** 17 > ROWS_PER_BLOCK
+        assert pop.lineage_hexes(pop.size) == [pop.lineage_hex(i) for i in range(pop.size)]
+
+    def test_hexes_of_extreme_words(self):
+        pop, _ = run_discrete(ModelParams(alpha=1.0), 2, 1)
+        pop.lid_hi[:2] = [0, 2 ** 64 - 1]
+        pop.lid_lo[:2] = [2 ** 64 - 1, 1]
+        assert pop.lineage_hexes(2) == ["0000000000000000ffffffffffffffff",
+                                        "ffffffffffffffff0000000000000001"]
+
+
+class TestChildIndex:
+    @pytest.mark.parametrize("counts", [[], [1], [2], [1] * 7, [2] * 7,
+                                        [1, 2, 2, 1, 1, 2, 1], [2, 1, 1, 1, 2]])
+    def test_matches_concatenated_ranges(self, counts):
+        n = np.array(counts, dtype=np.int64)
+        expect = np.concatenate([np.empty(0, dtype=np.int64)] + [np.arange(k) for k in n])
+        got = _child_index(n)
+        assert got.dtype == np.uint64
+        assert got.tolist() == expect.tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, 2), max_size=200))
+    def test_matches_concatenated_ranges_random(self, counts):
+        n = np.array(counts, dtype=np.int64)
+        expect = [i for k in counts for i in range(k)]
+        assert _child_index(n).tolist() == expect
+
+
+class TestChainCheck:
+    def _ids(self, pop):
+        return _id_rows(pop.lid_hi, pop.lid_lo)
+
+    def test_holds_on_a_coupled_run(self):
+        runs = run_coupled([0.5, 2.0], 3.0, 1, include_homogeneous=True)
+        ids = [self._ids(pop) for pop, _ in runs.values()]
+        assert _chain_holds(ids)
+        assert not _chain_holds(ids[::-1])
+
+    def test_fails_when_one_id_is_dropped_from_the_larger_set(self):
+        runs = run_coupled([0.5, 2.0], 3.0, 1)
+        small, big = (self._ids(pop) for pop, _ in runs.values())
+        assert 1 < len(small) < len(big)
+        assert _chain_holds([small, big])
+        for k in (0, len(small) // 2, len(small) - 1):
+            dropped = np.delete(big, np.nonzero(big == small[k])[0])
+            assert len(dropped) == len(big) - 1
+            assert not _chain_holds([small, dropped])
+
+    def test_a_differing_low_word_is_a_different_id(self):
+        hi = np.array([5, 6], dtype=np.uint64)
+        assert not _chain_holds([_id_rows(hi, np.array([1, 2], dtype=np.uint64)),
+                                 _id_rows(hi, np.array([1, 3], dtype=np.uint64))])
+        assert _chain_holds([_id_rows(hi[:0], hi[:0]), _id_rows(hi, hi)])
+
+
+class TestCounterKey:
+    def test_key_then_counter_equals_the_full_mix(self):
+        rng = CounterRNG(2 ** 64 - 3)
+        hi = np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+        lo = np.array([1, 0, 7, 2 ** 64 - 1], dtype=np.uint64)
+        ctr = np.array([0, 3, 2 ** 40, 2 ** 64 - 1], dtype=np.uint64)
+        bits = mix_words(rng.seed, hi, lo, ctr)
+        u = np.maximum((bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53, 2.0 ** -54)
+        assert rng.uniform(rng.key(hi, lo), ctr).tolist() == u.tolist()
+
+
+def _old_rows(header, columns):
+    """The row formula of the writer before it went column by column."""
+    cols = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+    return (",".join(header) + "\n"
+            + "".join(",".join(map(str, row)) + "\n" for row in zip(*cols)))
+
+
+def _written(tmp_path, header, columns):
+    path = tmp_path / "t.csv"
+    assert write_csv(path, header, columns) == str(path)
+    return path.read_text()
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e16, 1e-5, 0.1]),
+)
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.lists(FLOATS, min_size=n, max_size=n),
+        st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
+        st.lists(st.text(alphabet="abc0123456789_.-", max_size=8), min_size=n, max_size=n))))
+    def test_matches_the_row_formula(self, tmp_path_factory, data):
+        floats, ints, texts = data
+        tmp_path = tmp_path_factory.mktemp("csv")
+        columns = [np.array(floats, dtype=np.float64), floats, ints, texts,
+                   np.array([i % 2 ** 62 for i in ints], dtype=np.int64)]
+        header = ["f_np", "f", "i", "s", "i_np"]
+        assert _written(tmp_path, header, columns) == _old_rows(header, columns)
+
+    def test_rows_beyond_one_block(self, tmp_path, monkeypatch):
+        from bbmlab import files
+
+        monkeypatch.setattr(files, "ROWS_PER_BLOCK", 7)
+        columns = [np.arange(23), np.linspace(-1.0, 1.0, 23), [f"id{i}" for i in range(23)]]
+        assert _written(tmp_path, ["a", "b", "c"], columns) == _old_rows(["a", "b", "c"], columns)
+
+    def test_zero_rows(self, tmp_path):
+        assert _written(tmp_path, ["a", "b"], [[], np.empty(0)]) == "a,b\n"
+        assert _written(tmp_path, [], []) == "\n"
