@@ -137,6 +137,9 @@ class DerivedConstants:
     def __post_init__(self):
         a, b = self.alpha, self.beta
         kap = 2.0 * a / (2.0 + a)
+        if kap == 1.0:
+            raise DomainError(f"theta1 has the factor 1/(1-kappa), undefined at kappa = 1 "
+                              f"(alpha = {a})")
         t1 = self.lambda0 * b ** (2.0 / (2.0 + a)) * 2.0 ** (-2.0 * a / (2.0 + a)) / (1.0 - kap)
         t2 = (2.0 * b) ** (1.0 / (2.0 + a))
         object.__setattr__(self, "kappa", kap)
@@ -144,7 +147,7 @@ class DerivedConstants:
         object.__setattr__(self, "theta2", t2)
         # same constant written with (2+a)/(2-a) instead of 1/(1-kappa)
         alt = self.lambda0 * (2.0 + a) / (2.0 - a) * b ** (2.0 / (2.0 + a)) / 2.0 ** (2.0 * a / (2.0 + a))
-        if abs(alt - t1) > 1e-12 * abs(t1):
+        if not abs(alt - t1) <= 1e-12 * abs(t1):
             raise AssertionError("theta1 identity violated: %.17g vs %.17g" % (t1, alt))
 
 

@@ -221,12 +221,19 @@ def _run_alpha2(args, out: Path):
     return [write_json(out / "alpha2_fit.json", rep)]
 
 
+def _constants_or_none(p: ModelParams):
+    """The derived constants behind Z_t, or None where they do not exist: the
+    homogeneous family has no angular penalty, and theta1 is undefined at
+    kappa = 1 (alpha = 2).  Without them Z_t is written as nan."""
+    if p.rate_family is RateFamily.HOMOGENEOUS or p.kappa() == 1.0:
+        return None
+    lam0 = spectral.solve_spectrum(p.alpha, 1, accuracy=1e-7).eigenvalues[0]
+    return derived_constants(p, lam0)
+
+
 def _run_simulate(args, out: Path):
     p = _params_from(args)
-    consts = None
-    if p.rate_family is not RateFamily.HOMOGENEOUS:
-        lam0 = spectral.solve_spectrum(p.alpha, 1, accuracy=1e-7).eigenvalues[0]
-        consts = derived_constants(p, lam0)
+    consts = _constants_or_none(p)
     snaps = _parse_list(args.get("snapshots", args["t_end"]))
     pop, stats = sim.run_continuous(p, float(args["t_end"]), int(args["seed"]),
                                     snapshot_times=snaps,
@@ -288,10 +295,7 @@ def _run_mto2(args, out: Path):
 
 def _run_porism(args, out: Path):
     p = _params_from(args)
-    consts = None
-    if p.rate_family is not RateFamily.HOMOGENEOUS:
-        lam0 = spectral.solve_spectrum(p.alpha, 1, accuracy=1e-7).eigenvalues[0]
-        consts = derived_constants(p, lam0)
+    consts = _constants_or_none(p)
     rep = sim.porism_probe(p, _parse_list(args.get("t_list", "8,12,16")),
                            int(args.get("replicates", 200)), int(args["seed"]),
                            consts=consts, eps=float(args.get("eps", 0.25)))

@@ -10,9 +10,11 @@ from a narrow-Gaussian initial condition, and the change of variables
 connecting the rescaled fundamental solution g to the weighted Brownian
 kernel G.
 
-Finite differences use trapezoidal (Crank-Nicolson) stepping with the
-potential frozen at the midpoint time and a Rannacher start (four damped
-backward-Euler half-steps) to suppress ringing from near-Dirac data.
+Finite differences use TR-BDF2 stepping (a trapezoidal substep to
+t + gamma dt, then a BDF2 completion) with the potential frozen at each
+stage time, and a Rannacher start (the first two steps taken as four damped
+backward-Euler half-steps) to suppress ringing from near-Dirac data.  Every
+implicit stage is one tridiagonal solve with LAPACK dgtsv.
 The coefficient ODE  c' = (-rho q^{2/(2+alpha)} D + (q'/q) A) c  is split
 exactly: the diagonal factor uses the closed-form integral of q^{2/(2+alpha)}
 and the mixing factor is expm(log(q ratio) * A), an orthogonal matrix, so
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import expm, solve_banded
+from scipy.linalg import expm
 
 from .errors import (
     AccuracyError,
@@ -39,7 +41,7 @@ from .errors import (
     ResourceError,
 )
 from .files import write_csv, write_json
-from .spectral import EigenSystem, derivative, rescale_to_q
+from .spectral import EigenSystem, _solve_tridiagonal, derivative, rescale_to_q
 
 
 def integral_inv_pow(T: float, m: float) -> float:
@@ -300,7 +302,8 @@ def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi:
                             n_nodes: int = 33):
     """Ground eigenvalue of the interior tridiagonal -Dxx + q V as a smooth
     function of q: sampled on a geometric ladder, cubic spline in log q
-    (interpolation error ~1e-9, far below the h^2 scale it corrects)."""
+    (interpolation error ~1e-9, far below the h^2 scale it corrects).
+    The returned function maps a sequence of q values to an array."""
     from scipy.interpolate import CubicSpline
     from scipy.linalg import eigh_tridiagonal
 
@@ -317,18 +320,50 @@ def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi:
 
     if abs(q_hi - q_lo) < 1e-14:
         lam = ground(q_lo)
-        return lambda qm: lam
+        return lambda qs: np.full(len(qs), lam)
     qs = np.geomspace(q_lo, q_hi, n_nodes)
     lams = np.array([ground(qv) for qv in qs])
     spline = CubicSpline(np.log(qs), lams)
-
-    def shift(qm):
-        return float(spline(math.log(qm)))
-
-    return shift
+    # math.log, not np.log: the vectorized log may differ in the last bit
+    return lambda qs: spline([math.log(v) for v in qs])
 
 
 GAMMA_TRBDF2 = 2.0 - math.sqrt(2.0)
+
+
+def _stage_coefficients(steps, q: PiecewiseQ, T: float, rho: float, shifts):
+    """What the stepping loop needs from q, computed before the loop: q and
+    the gauge shift at both implicit stages of every step (the Rannacher
+    halves for the first two steps, else the trapezoidal and BDF2 stages),
+    the time after each step, and each step's gauge increment, rho times
+    Simpson's rule for the integral of the shift over the step (None when
+    `shifts`, which maps a list of q values to their shifts, is None).
+
+    The times are formed as the loop would form them (t += dt, clipped at
+    T; Simpson nodes from t - dt after the increment), so every value is
+    the one a lookup at that stage gives.
+    """
+    g = GAMMA_TRBDF2
+    n = len(steps)
+    gauged = shifts is not None
+    stage_q, simpson_q, ends = np.empty((n, 2)), np.empty((n if gauged else 0, 3)), np.empty(n)
+    t = 0.0
+    for k, dt in enumerate(steps):
+        if k < 2:
+            stage_q[k] = [q.value(min(t + (half + 0.5) * dt / 2.0, T)) for half in range(2)]
+        else:
+            stage_q[k] = q.value(min(t + g * dt / 2.0, T)), q.value(min(t + dt, T))
+        t += dt
+        if gauged:
+            a = t - dt
+            simpson_q[k] = q.value(a), q.value(0.5 * (a + t)), q.value(t)
+        ends[k] = t
+    if not gauged:
+        return stage_q, np.zeros_like(stage_q), ends, None
+    stage_shift = shifts(stage_q.ravel().tolist()).reshape(n, 2)
+    fa, fm, fb = shifts(simpson_q.ravel().tolist()).reshape(n, 3).T
+    a = ends - steps
+    return stage_q, stage_shift, ends, rho * ((ends - a) / 6.0 * (fa + 4.0 * fm + fb))
 
 
 def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | None = None,
@@ -375,22 +410,27 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
     stride = max(1, int(np.ceil(n_steps / grids.store_max)))
     p_exp = 2.0 / (2.0 + alpha)
 
+    # shifts(qs): the gauge shift at each q of a list, as an array
     if gauge_lambda0 is None:
-        shift_fn = None
+        shifts = None
     elif gauge_lambda0 == "discrete":
         # ground level of the solver's own discrete operator as a function
         # of q; gauging with the continuum eigenvalue would leave a drift
         # (lambda_h - lambda) rho int q^... growing like rho dx^2
         if potential_off:
             raise ConfigurationError("discrete gauge needs the potential on")
-        shift_fn = _discrete_ground_interp(x, v_pot, q.value(0.0), q.value(T))
+        shifts = _discrete_ground_interp(x, v_pot, q.value(0.0), q.value(T))
     else:
         lam_g = float(gauge_lambda0)
-        shift_fn = lambda qm: lam_g * qm ** p_exp
+        # Python pow, not np.power: the vectorized power may differ in the last bit
+        shifts = lambda qs: np.array([lam_g * v ** p_exp for v in qs])
+
+    stage_q, stage_shift, ends, gauge_steps = _stage_coefficients(steps, q, T, rho, shifts)
 
     times = [0.0]
     slices = [u.copy()]
     mass0 = np.trapezoid(u, x)
+    dxs = np.diff(x)
     log_mass_prev = math.log(mass0) if mass0 > 0 else -math.inf
     gauge_int = 0.0  # running lambda_0 rho int q^{2/(2+alpha)}
     min_u = 0.0
@@ -398,37 +438,31 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
 
     lap_main = -2.0 / h ** 2
     lap_off = 1.0 / h ** 2
+    dl, diag, du = np.empty(m), np.empty(m + 1), np.empty(m)
 
-    def banded(c_impl, qmid):
-        # rows: upper, main, lower of I - c_impl * rho * (Dxx - qmid V + shift)
-        shift = shift_fn(qmid) if shift_fn else 0.0
-        ab = np.zeros((3, m + 1))
-        ab[0, 2:] = -c_impl * rho * lap_off
-        ab[1] = 1.0 - c_impl * rho * (lap_main - qmid * v_pot + shift)
-        ab[2, :-2] = -c_impl * rho * lap_off
-        # Dirichlet rows
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-        return ab
+    def implicit_solve(c_impl, qmid, shift, rhs):
+        # (I - c_impl * rho * (Dxx - qmid V + shift)) u = rhs with Dirichlet
+        # rows; the band is refilled on every call since dgtsv overwrites it
+        off = -c_impl * rho * lap_off
+        dl.fill(off)
+        du.fill(off)
+        dl[-1] = du[0] = 0.0
+        np.multiply(v_pot, qmid, out=diag)
+        np.subtract(lap_main, diag, out=diag)
+        np.add(diag, shift, out=diag)
+        np.multiply(diag, c_impl * rho, out=diag)
+        np.subtract(1.0, diag, out=diag)
+        diag[0] = diag[-1] = 1.0
+        rhs[0] = rhs[-1] = 0.0
+        return _solve_tridiagonal(dl, diag, du, rhs)
 
-    def explicit_apply(uv, c_expl, qmid):
-        shift = shift_fn(qmid) if shift_fn else 0.0
+    def explicit_apply(uv, c_expl, qmid, shift):
         out = uv.copy()
         out[1:-1] = uv[1:-1] + c_expl * rho * (
             (uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h ** 2
             + (shift - qmid * v_pot[1:-1]) * uv[1:-1]
         )
-        out[0] = out[-1] = 0.0
         return out
-
-    def shift_integral(a, b):
-        if shift_fn is None:
-            return 0.0
-        fa = shift_fn(q.value(a))
-        fm = shift_fn(q.value(0.5 * (a + b)))
-        fb = shift_fn(q.value(b))
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
     # coherent rounding floor of the explicit half-step: each application
     # cancels terms of size nu = rho dt (2/h^2 + q Vmax) against u, leaving
@@ -444,39 +478,32 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
     w_star = 1.0 / (g * (2.0 - g))
     w_old = (1.0 - g) ** 2 / (g * (2.0 - g))
 
-    t = 0.0
     for k, dt in enumerate(steps):
+        q1, q2 = stage_q[k]
+        s1, s2 = stage_shift[k]
         if k < 2:
             # Rannacher start: backward-Euler halves keep the near-Dirac
             # data positive (the TR-BDF2 stability function dips negative
             # around z ~ 3-10 and would undershoot on rough data)
-            for half in range(2):
-                qm = q.value(min(t + (half + 0.5) * dt / 2.0, T))
-                rhs = u.copy()
-                rhs[0] = rhs[-1] = 0.0
-                u = solve_banded((1, 1), banded(dt / 2.0, qm), rhs)
+            u = implicit_solve(dt / 2.0, q1, s1, u)
+            u = implicit_solve(dt / 2.0, q2, s2, u)
         else:
-            q_tr = q.value(min(t + g * dt / 2.0, T))
-            rhs = explicit_apply(u, c_tr * dt, q_tr)
-            u_star = solve_banded((1, 1), banded(c_tr * dt, q_tr), rhs)
-
-            q_bdf = q.value(min(t + dt, T))
-            rhs2 = w_star * u_star - w_old * u
-            rhs2[0] = rhs2[-1] = 0.0
-            u = solve_banded((1, 1), banded(c_bdf * dt, q_bdf), rhs2)
-        t += dt
+            u_star = implicit_solve(c_tr * dt, q1, s1, explicit_apply(u, c_tr * dt, q1, s1))
+            u = implicit_solve(c_bdf * dt, q2, s2, w_star * u_star - w_old * u)
         u[0] = u[-1] = 0.0
 
         min_u = min(min_u, float(u.min() / max(1.0, u.max())))
-        # mass of the ungauged solution, compared in log scale
-        gauge_int += rho * shift_integral(t - dt, t)
-        mass_w = np.trapezoid(u, x)
+        # mass of the ungauged solution, compared in log scale; the mass is
+        # np.trapezoid's own formula on the precomputed spacings
+        if gauge_steps is not None:
+            gauge_int += gauge_steps[k]
+        mass_w = np.add.reduce(dxs * (u[1:] + u[:-1]) / 2.0)
         log_mass = (math.log(mass_w) if mass_w > 0 else -math.inf) - gauge_int
         if log_mass > log_mass_prev:
             mass_uptick = max(mass_uptick, log_mass - log_mass_prev)
         log_mass_prev = log_mass
         if (k + 1) % stride == 0 or k == n_steps - 1:
-            times.append(t)
+            times.append(ends[k])
             slices.append(u.copy())
 
     if min_u < -pos_tol:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -142,9 +142,11 @@ class Population:
         alive = [self.snapshots[t] for t in times]  # (n_alive, x, y) per time
         counts = [n for n, _, _ in alive]
         ids = self.lineage_hexes(max(counts, default=0))
+        # the replicate and time cells repeat: format each value once and
+        # pass repeated references to its text
         return write_csv(path, ["replicate", "time", "lineage_id", "x", "y"], [
-            [replicate] * sum(counts),
-            np.repeat(times, counts),
+            [str(replicate)] * sum(counts),
+            list(chain.from_iterable(repeat(str(t), n) for t, n in zip(times, counts))),
             list(chain.from_iterable(ids[:n] for n in counts)),
             np.concatenate([np.empty(0)] + [x[:n] for n, x, _ in alive]),
             np.concatenate([np.empty(0)] + [y[:n] for n, _, y in alive]),

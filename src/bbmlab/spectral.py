@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalFailure
 from .files import write_csv, write_json
@@ -166,22 +167,32 @@ def _solve_parity(alpha, h, x_max, even, k, q=1.0):
     return x, w, v, (d, e)
 
 
+def _solve_tridiagonal(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    dl, d, du (float64) for the right-hand side b with LAPACK dgtsv, the
+    routine scipy's banded solver calls for one band each side, so the
+    result is bit for bit the same, without its input validation.  Works
+    in place: all four arrays are overwritten and the returned solution
+    shares b's storage when b is a contiguous float64 array.  A singular
+    matrix raises LinAlgError, as the banded solver does."""
+    *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    return x
+
+
 def _refine_vector(d, e, lam, v, sweeps=2):
     """Inverse-iteration sweeps to pull the eigenvector residual down to
     the factorization floor (the LAPACK bisection vectors sit a couple of
     orders above it)."""
-    from scipy.linalg import solve_banded
-
-    n = len(d)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = e
-    ab[1] = d - (lam + 1e-10 * (1.0 + abs(lam)))
-    ab[2, :-1] = e
+    shifted = d - (lam + 1e-10 * (1.0 + abs(lam)))
     cur = v
     for _ in range(sweeps):
         try:
-            w = solve_banded((1, 1), ab, cur)
-        except Exception:
+            w = _solve_tridiagonal(e.copy(), shifted.copy(), e.copy(), cur.copy())
+        except LinAlgError:
             return cur
         nrm = float(np.linalg.norm(w))
         if not math.isfinite(nrm) or nrm == 0.0:

@@ -1,5 +1,8 @@
 import csv
+import json
+import math
 import re
+import warnings
 
 import pytest
 
@@ -117,6 +120,21 @@ class TestCli:
         f1 = (out1 / "simulate" / "snapshots.csv").read_bytes()
         f2 = (out2 / "simulate" / "snapshots.csv").read_bytes()
         assert f1 == f2
+
+    def test_alpha_2_has_no_theta1(self, tmp_path):
+        # kappa = 1 at alpha = 2: Z_t and the centering are left out, as for
+        # the homogeneous family, instead of an inf - inf that passes silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--alpha", "2", "--t-end", "5", "--snapshots", "2.5,5",
+                         "--seed", "9", "--out", str(tmp_path)]) == 0
+            assert main(["porism", "--alpha", "2", "--t-list", "2,3", "--replicates", "3",
+                         "--seed", "9", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "simulate" / "stats.csv") as fh:
+            z_t = [float(row["Z_t"]) for row in csv.DictReader(fh)]
+        assert len(z_t) == 2 and all(math.isnan(z) for z in z_t)
+        rows = json.loads((tmp_path / "porism" / "porism.json").read_text())["rows"]
+        assert len(rows) == 2 and not any("centered_median" in r for r in rows.values())
 
 
 def _accepts(check, value):

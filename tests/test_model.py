@@ -121,6 +121,12 @@ class TestConstants:
         # the dataclass itself asserts the identity at 1e-12 relative
         DerivedConstants(alpha, beta, 1.0)
 
+    def test_theta1_undefined_at_kappa_one(self):
+        with pytest.raises(DomainError, match="kappa = 1"):
+            DerivedConstants(2.0, 0.25, 1.0)
+        with pytest.raises(DomainError):
+            derived_constants(sinpow(2.0), 1.0)
+
     def test_effective_beta(self):
         assert sinpow(1.0).effective_beta() == 0.5
         p = ModelParams(alpha=1.0, beta=3.0, rate_family=RateFamily.POW_CLAMP)

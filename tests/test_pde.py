@@ -1,7 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
 from bbmlab.errors import DomainError, ResourceError
 from bbmlab.pde import (
@@ -23,6 +27,7 @@ from bbmlab.pde import (
     rho_for_kernel,
     solve_pde,
 )
+from bbmlab.spectral import _solve_tridiagonal
 
 from oracles import hermite_mixing_entry
 
@@ -297,3 +302,79 @@ class TestExports:
         path.export_csv(tmp_path / "c.csv")
         path.export_json(tmp_path / "c.json")
         assert (tmp_path / "c.csv").read_text().splitlines()[0] == "t,c_0,c_1,c_2,c_3"
+
+
+PIN_GRIDS = PdeGrids(x_max=6.0, dx=1.0 / 32.0, cfl_pot=0.02)
+LAMBDA0_A1 = 1.018792971647471  # |a'_1|, the alpha = 1 ground level
+
+
+def _q_star(rho, T, alpha):
+    _, eps1, eps2 = default_epsilons(rho, T, 2.0 * alpha / (2.0 + alpha))
+    return build_barriers(T, eps1, eps2, alpha).q_star
+
+
+PINNED_SOLVES = {
+    "ungauged": (
+        lambda: fundamental_solution_g(0.3, 0.5, 20.0, 1.3, PIN_GRIDS),
+        "1a29ff001329a4483344ba83c3a813026034e74a4342374a446804ebe2ca0533"),
+    "discrete_gauge": (
+        lambda: fundamental_solution_g(0.0, 0.5, 40.0, 1.0, PIN_GRIDS,
+                                       gauge_lambda0="discrete"),
+        "40916292b573758f266b3422a8983be78f2568130a9ff154f424e98d4efcccf0"),
+    "lambda0_gauge_q_star": (
+        lambda: fundamental_solution_g(0.5, 0.5, 40.0, 1.0, PIN_GRIDS,
+                                       q=_q_star(40.0, 0.5, 1.0), gauge_lambda0=LAMBDA0_A1),
+        "452b27449dea073771060a3f32ffe2460e5ff6b235c7d2db8462c347535c02a6"),
+    "potential_off": (
+        lambda: fundamental_solution_g(0.0, 0.3, 2.0, 1.0, PIN_GRIDS, potential_off=True),
+        "9859d6633af0edeb43eaa9703cdfeee0d816429e59966862a96599f3e1adddee"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+def test_pinned_solve(name):
+    """sha256 over the bytes of `values` and `time_grid`, repr(log_gauge) and
+    the diagnostics, taken before the stepping loop moved onto dgtsv with
+    precomputed stage coefficients, which must leave every bit as it was.
+    Recorded with numpy 2.4 and scipy 1.17 on x86-64; a libm that rounds
+    `pow` or `log` differently in the last bit may need them re-taken from a
+    tree that predates that change."""
+    make, expected = PINNED_SOLVES[name]
+    fld = make().field
+    h = hashlib.sha256(fld.values.tobytes())
+    h.update(fld.time_grid.tobytes())
+    h.update(repr(fld.log_gauge).encode())
+    h.update(repr(sorted(fld.diagnostics.items())).encode())
+    assert h.hexdigest() == expected
+
+
+def _tridiagonal(n, seed, kind):
+    """(dl, d, du, b): diagonally dominant, or a shifted indefinite band
+    whose factorization pivots."""
+    rng = np.random.default_rng(seed)
+    dl, du = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    if kind == "dominant":
+        d = (2.0 + rng.uniform(0.0, 1.0, n)) * rng.choice([-1.0, 1.0], n)
+    else:
+        d = rng.uniform(-0.5, 0.5, n) - rng.uniform(-2.0, 2.0)
+    return dl, d, du, rng.normal(size=n)
+
+
+class TestTridiagonalSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["dominant", "indefinite"]))
+    def test_equals_solve_banded(self, n, seed, kind):
+        dl, d, du, b = _tridiagonal(n, seed, kind)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        ref = solve_banded((1, 1), ab, b)
+        got = _solve_tridiagonal(dl.copy(), d.copy(), du.copy(), b.copy())
+        assert got.tobytes() == ref.tobytes()
+
+    def test_singular_raises(self):
+        # the first column is zero
+        dl, d, du = np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0])
+        with pytest.raises(LinAlgError):
+            _solve_tridiagonal(dl, d, du, np.ones(3))
+
