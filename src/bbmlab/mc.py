@@ -21,9 +21,10 @@ chunk and added in chunk index order.  Chunks hold 20,000 samples with key
 offset 0; the two-spine check in `sim` uses chunks of 10,000 and key offset
 7,000,000.  Results are therefore bit-reproducible, and two estimates with
 the same seed share every path (making pathwise-monotone comparisons exact).
-Paths come from one column marcher, `_march`, forward or bridge, for 1-D
-or planar states.  Path integrals use the trapezoidal rule on the sampled
-skeleton, with midpoint evaluation on steps where a 1-D path crosses zero.
+Every path, the spines of `sim` included, comes from one column marcher,
+`_march`, forward or bridge, for 1-D or stacked (planar, two-spine) states.
+Path integrals use the trapezoidal rule on the sampled skeleton, with
+midpoint evaluation on steps where a 1-D path crosses zero.
 """
 
 from __future__ import annotations
@@ -45,42 +46,11 @@ class KernelEstimate:
     n_samples: int
     integrator_step: float
 
-    def within(self, other: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - other) <= n_sigma * self.stderr
-
     def to_json_dict(self, **inputs):
         rec = {"value": self.value, "stderr": self.stderr,
                "n_samples": self.n_samples, "step": self.integrator_step}
         rec.update(inputs)
         return rec
-
-
-@dataclass(frozen=True)
-class PathSampler:
-    """Reproducible skeleton generator used by the estimators.
-
-    scheme is "forward" (independent N(0, dr) increments) or "bridge"
-    (sequential conditional Gaussians, endpoints hit exactly).  The same
-    seed and parameters give a bit-identical path array; the draw order
-    matches the marching estimators, chunked by Philox(key=(seed, chunk)).
-    """
-
-    seed: int
-    step: float
-    scheme: str = "forward"
-
-    def paths(self, n: int, s: float, t: float, x: float, y: float | None = None):
-        if self.scheme not in ("forward", "bridge"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "bridge" and y is None:
-            raise ConfigurationError("bridge sampling needs the endpoint y")
-        r_grid = _weight_grid(s, t, self.step)
-        end = y if self.scheme == "bridge" else None
-        out = []
-        for rng, size in _chunks(self.seed, n):
-            columns = _march(rng, r_grid, np.full(size, float(x)), end)
-            out.append(np.column_stack([col for _, col in columns]))
-        return r_grid, np.concatenate(out, axis=0)
 
 
 @dataclass(frozen=True)
@@ -176,7 +146,8 @@ def _weight_grid(s, t, step):
 
 def _march(rng, r_grid, start, end=None):
     """Yield (j, column) of a skeleton on r_grid, from the state `start` of
-    shape (n,) or planar (2, n).  Without `end` the increments are
+    shape (n,) or (k, n), k coordinates of n paths.  Column j draws its k
+    rows of normals in row order.  Without `end` the increments are
     independent N(0, dr); with it the path is a Brownian bridge to `end`,
     drawn as sequential conditional Gaussians with the last column exact.
     Each column is a new array, so consumers may keep it.
@@ -201,7 +172,8 @@ def _march(rng, r_grid, start, end=None):
 class _Trapezoid:
     """Trapezoidal integral of weight(column, r) over the columns of a
     skeleton, added in order; memory stays O(n paths).  On 1-D states a step
-    that crosses zero takes the midpoint value instead (|y|^alpha kink)."""
+    that crosses zero takes the midpoint value instead (|y|^alpha kink).
+    `add` returns the weight of the column it was given."""
 
     def __init__(self, r_grid, weight):
         self.r, self.weight, self.total = r_grid, weight, 0.0
@@ -218,6 +190,7 @@ class _Trapezoid:
                     trap = np.where(crossing, mid, trap)
             self.total += dr * trap
         self.prev, self.w_prev = col, w
+        return w
 
 
 def _weighted_paths(r_grid, beta, weight, x, end=None):

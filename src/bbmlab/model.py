@@ -229,37 +229,3 @@ def conjectured_corrections(params: ModelParams) -> CorrectionReport:
     c2 = 3.0 / (2.0 * SQRT2) + (math.sqrt(1.0 + 8.0 * beta) - 1.0) / (4.0 * SQRT2)
     cg2 = (1.0 + 1.0 / params.alpha) / SQRT2
     return CorrectionReport(params.alpha, beta, c2, cg2)
-
-
-# -- plain-text config round trip -------------------------------------------
-
-def params_to_config(params: ModelParams) -> str:
-    """Serialize to a key/value section; floats use repr for exact round trip."""
-    lines = ["[model]"]
-    lines.append(f"alpha = {float(params.alpha)!r}")
-    lines.append(f"beta = {float(params.beta)!r}")
-    lines.append(f"rate_family = {params.rate_family.value}")
-    if params.table is not None:
-        lines.append("table = " + ",".join(repr(float(v)) for v in params.table.values))
-    lines.append(f"validate_theorem_range = {params.validate_theorem_range}")
-    return "\n".join(lines) + "\n"
-
-
-def params_from_config(text: str) -> ModelParams:
-    import configparser
-
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    if "model" not in cp:
-        raise ConfigurationError("config lacks a [model] section")
-    sec = cp["model"]
-    table = None
-    if "table" in sec:
-        table = RateTable(tuple(float(v) for v in sec["table"].split(",")))
-    return ModelParams(
-        alpha=float(sec["alpha"]),
-        beta=float(sec.get("beta", "1.0")),
-        rate_family=RateFamily(sec.get("rate_family", "SinPow")),
-        table=table,
-        validate_theorem_range=sec.getboolean("validate_theorem_range", False),
-    )

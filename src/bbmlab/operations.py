@@ -29,8 +29,11 @@ def _nonneg(v):
         raise ConfigurationError(f"expected a finite nonnegative number, got {v!r}")
 
 
-def _any(v):
-    return None
+def _functional(v):
+    """A path functional that flags can describe: x_cylinder needs snapshot
+    times and thresholds, which no flag sets."""
+    if v not in ("one", "x_indicator", "r_indicator"):
+        raise ConfigurationError(f"expected one, x_indicator or r_indicator, got {v!r}")
 
 
 def _count(v):
@@ -265,7 +268,7 @@ def _run_discrete(args, out: Path):
     pop, _ = sim.run_discrete(p, int(args.get("n_end", 100)), int(args["seed"]),
                               cap=int(args.get("cap", sim.DEFAULT_CAP)))
     return [write_csv(out / "lattice.csv", ["lineage_id", "x", "y"],
-                      [pop.lineage_hexes(pop.size),
+                      [sim.HexIds(pop.lid_hi, pop.lid_lo),
                        pop.x.astype(np.int64), pop.y.astype(np.int64)]),
             pop.export_manifest_json(out / "run.json", p)]
 
@@ -357,13 +360,13 @@ REGISTRY = {
     "mto1": Operation(
         "mto1", "single-spine moment identity",
         {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_end": _given,
-         "functional": _any, "x0": float, "r0": float, "n_sim": _count,
+         "functional": _functional, "x0": float, "r0": float, "n_sim": _count,
          "n_mc": _count, "seed": _seed}, _run_mto1, stochastic=True),
     "mto2": Operation(
         "mto2", "two-spine moment identity",
         {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_end": _given,
-         "f_functional": _any, "f_x0": float, "f_r0": float,
-         "g_functional": _any, "g_x0": float, "g_r0": float,
+         "f_functional": _functional, "f_x0": float, "f_r0": float,
+         "g_functional": _functional, "g_x0": float, "g_r0": float,
          "n_sim": _count, "n_mc": _count, "seed": _seed}, _run_mto2, stochastic=True),
     "porism": Operation(
         "porism", "extremal-particle localization probe",

@@ -44,13 +44,6 @@ from .files import write_csv, write_json
 from .spectral import EigenSystem, _solve_tridiagonal, derivative, rescale_to_q
 
 
-def integral_inv_pow(T: float, m: float) -> float:
-    """int_0^T (1-s)^{-m} ds = (1 - (1-T)^{1-m}) / (1-m)  (m != 1)."""
-    if m == 1.0:
-        return -math.log(1.0 - T)
-    return (1.0 - (1.0 - T) ** (1.0 - m)) / (1.0 - m)
-
-
 # ---------------------------------------------------------------------------
 # time coefficients q(t)
 # ---------------------------------------------------------------------------
@@ -102,16 +95,6 @@ class PiecewiseQ:
             v0, slope = pay
             return v0 + slope * (t - t0)
         return (1.0 - t) ** (-pay)
-
-    def log_deriv(self, t):
-        """q'(t)/q(t); at breakpoints the right-piece derivative is used."""
-        t0, t1, kind, pay = self._locate(t)
-        if kind == "const":
-            return 0.0
-        if kind == "linear":
-            v0, slope = pay
-            return slope / (v0 + slope * (t - t0))
-        return pay / (1.0 - t)
 
     def integral_pow(self, p: float, a: float, b: float) -> float:
         """int_a^b q(s)^p ds, exact per piece (5-pt Gauss on linear pieces)."""
@@ -567,12 +550,12 @@ class FundamentalSolution:
 
 def fundamental_solution_g(xi: float, T: float, rho: float, alpha: float,
                            grids: PdeGrids | None = None, q: PiecewiseQ | None = None,
-                           potential_off: bool = False, gauge_lambda0: float | None = None,
-                           width_factor: float = 2.0) -> FundamentalSolution:
+                           potential_off: bool = False,
+                           gauge_lambda0: float | None = None) -> FundamentalSolution:
     grids = grids or PdeGrids()
     if abs(xi) > grids.x_max * 0.8:
         raise DomainError(f"source xi={xi} too close to the wall x_max={grids.x_max}")
-    width = width_factor * grids.dx
+    width = 2.0 * grids.dx
 
     def init(x):
         return gaussian_on_grid(x, xi, width)
@@ -580,15 +563,6 @@ def fundamental_solution_g(xi: float, T: float, rho: float, alpha: float,
     fld = solve_pde(init, rho, alpha, T, grids, q=q, potential_off=potential_off,
                     gauge_lambda0=gauge_lambda0)
     return FundamentalSolution(xi=xi, T=T, rho=rho, alpha=alpha, field=fld, width=width)
-
-
-def dirac_convergence_report(xi, T, rho, alpha, grids=None, factors=(4.0, 2.0, 1.0)):
-    """Value of g at x=0 for a sequence of halved initial widths."""
-    grids = grids or PdeGrids()
-    vals = [fundamental_solution_g(xi, T, rho, alpha, grids, width_factor=f)(0.0)
-            for f in factors]
-    return {"widths": [f * grids.dx for f in factors], "values": vals,
-            "last_change": abs(vals[-1] - vals[-2])}
 
 
 def rho_for_kernel(t: float, beta: float, alpha: float) -> float:
@@ -676,8 +650,6 @@ class CoefficientPath:
     lambdas: np.ndarray
     tail_ratio: float
     mixing_defect: float
-    gap_diagonal: np.ndarray | None = None   # lambda_i - lambda_0
-    mixing_matrix: np.ndarray | None = None  # antisymmetric quadrature matrix
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.coefficients, axis=1)
@@ -700,7 +672,6 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
                         d_matrix: np.ndarray, a_matrix: np.ndarray,
                         alpha: float, lambdas: np.ndarray | None = None,
                         n_steps: int = 600, t_end: float | None = None,
-                        mixing_off: bool = False,
                         mixing_defect: float = 0.0) -> CoefficientPath:
     """Exact-factor Strang evolution of c' = (-rho q^{2/(2+a)} D + (q'/q) A) c.
 
@@ -713,7 +684,6 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
     if d_matrix.shape[0] != n_modes or a_matrix.shape[0] != n_modes:
         raise ConfigurationError("coefficient count does not match matrices")
     d_diag = np.diag(d_matrix)
-    a_use = np.zeros_like(a_matrix) if mixing_off else a_matrix
     t_end = q.t1 if t_end is None else t_end
     p = 2.0 / (2.0 + alpha)
 
@@ -743,11 +713,11 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
         half = np.exp(-0.5 * w * d_diag)
         ratio = q.value(b) / q.value(a)
         c = half * c
-        if ratio != 1.0 and not mixing_off:
+        if ratio != 1.0:
             theta = math.log(ratio)
             key = round(theta, 15)
             if key not in expm_cache:
-                expm_cache[key] = expm(theta * a_use)
+                expm_cache[key] = expm(theta * a_matrix)
             c = expm_cache[key] @ c
         c = half * c
         times.append(b)
@@ -760,8 +730,7 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
     return CoefficientPath(
         times=np.array(times), coefficients=coeffs, rho=rho, alpha=alpha,
         q_label=q.label, lambdas=np.asarray(lam), tail_ratio=float(tail),
-        mixing_defect=mixing_defect, gap_diagonal=d_diag.copy(),
-        mixing_matrix=a_use,
+        mixing_defect=mixing_defect,
     )
 
 
@@ -818,34 +787,3 @@ def cross_validate_galerkin(sys: EigenSystem, rho: float, T: float, alpha: float
     rel_l2 = math.sqrt(num / den)
     return {"rel_l2": rel_l2, "n_modes": n_modes, "tail_ratio": cpath.tail_ratio,
             "path": cpath, "w_fd": w_fd, "w_gal": w_gal, "x": x}
-
-
-def check_c0_stability(rho_list: Sequence[float], T: float, alpha: float,
-                       sys: EigenSystem, xi: float = 0.5, n_modes: int = 16) -> dict:
-    """|c_0(T) - c_0(0)| for both barrier members along a rho ladder,
-    with the fitted decay exponent in rho (expected near -1)."""
-    kappa = 2.0 * alpha / (2.0 + alpha)
-    rows = []
-    dmat, amat, defect = galerkin_matrices(sys, n_modes)
-    for rho in rho_list:
-        if T < 20.0 / rho:
-            raise DomainError(f"constraint T >= 20/rho failed for rho={rho}")
-        if rho * (1.0 - T) ** (1.0 - kappa) < 10.0:
-            raise DomainError(f"constraint rho (1-T)^(1-kappa) >= 10 failed for rho={rho}")
-        delta, eps1, eps2 = default_epsilons(rho, T, kappa)
-        pair = build_barriers(T, eps1, eps2, alpha)
-        devs = {}
-        for name, qq in (("q_star", pair.q_star), ("q_upper", pair.q_upper)):
-            c0 = initial_coefficients(sys, qq.value(0.0), xi, n_modes)
-            path = evolve_coefficients(c0, qq, rho, dmat, amat, alpha,
-                                       lambdas=sys.eigenvalues[:n_modes],
-                                       mixing_defect=defect)
-            devs[name] = abs(path.coefficients[-1, 0] - c0[0])
-        rows.append({"rho": rho, "delta": delta, "eps1": eps1, "eps2": eps2, **devs})
-
-    slope = None
-    if len(rows) >= 2:
-        lr = np.array([math.log(r["rho"]) for r in rows])
-        ld = np.array([math.log(max(r["q_star"], 1e-300)) for r in rows])
-        slope = float(np.polyfit(lr, ld, 1)[0])
-    return {"rows": rows, "fitted_exponent": slope}

@@ -20,6 +20,10 @@ The discrete model lives on the integer lattice: at every generation a
 particle at angle theta has two children with probability b(theta), one
 otherwise, and every child independently steps to one of the four nearest
 neighbours or stays put, with probability 1/5 each.
+
+The many-to-one and many-to-two checks set populations against spine
+expectations, whose paths march through `mc._march` like every Monte Carlo
+path in bbmlab (two spines as spine 1 and a free planar path).
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DomainError
-from .files import ROWS_PER_BLOCK, write_csv, write_json
+from .files import write_csv, write_json
 from .mc import _chunked_mean, _march, _Trapezoid
-from .model import DerivedConstants, ModelParams, RateFamily, branching_rate
+from .model import DerivedConstants, ModelParams, RateFamily, branching_rate, centering_m
 from .rng import ROOT_ID, CounterRNG, child_id, mix_words
 
 SQRT2 = math.sqrt(2.0)
@@ -58,15 +62,22 @@ class ExtremalStats:
     n_particles: int
 
 
-@dataclass(frozen=True)
-class Particle:
-    """Read view of one ledger entry."""
+@dataclass(frozen=True, eq=False)
+class HexIds:
+    """A column of 128-bit lineage ids (hi, lo) for `write_csv`: a slice
+    formats only its own rows, each as 32 big-endian hex digits (high word
+    first), so a table's ids are held as text one block at a time."""
 
-    lineage_id: int          # 128-bit
-    parent_id: int | None
-    birth_time: float
-    position: tuple
-    next_proposal: float
+    hi: np.ndarray
+    lo: np.ndarray
+
+    def __len__(self):
+        return len(self.hi)
+
+    def __getitem__(self, rows: slice) -> list:
+        words = np.column_stack([self.hi[rows], self.lo[rows]])
+        text = words.astype(">u8").tobytes().hex()
+        return [text[k:k + 32] for k in range(0, len(text), 32)]
 
 
 @dataclass
@@ -91,63 +102,30 @@ class Population:
     def size(self) -> int:
         return len(self.birth)
 
-    def lineage_ids(self, at_time: float | None = None) -> set:
-        """128-bit ids of particles alive at `at_time` (default: all)."""
-        mask = slice(None) if at_time is None else self.birth <= at_time
-        hi = self.lid_hi[mask].astype(object)
-        lo = self.lid_lo[mask].astype(object)
-        return set((int(h) << 64) | int(l) for h, l in zip(hi, lo))
-
     def lineage_hex(self, i: int) -> str:
         return f"{int(self.lid_hi[i]):016x}{int(self.lid_lo[i]):016x}"
 
-    def lineage_hexes(self, n: int) -> list:
-        """`lineage_hex(i)` for i < n.  Each block of ids is written out as
-        one big-endian hex string (high word first) and sliced."""
-        ids = []
-        for start in range(0, n, ROWS_PER_BLOCK):
-            stop = min(n, start + ROWS_PER_BLOCK)
-            words = np.column_stack([self.lid_hi[start:stop], self.lid_lo[start:stop]])
-            text = words.astype(">u8").tobytes().hex()
-            ids += [text[k:k + 32] for k in range(0, len(text), 32)]
-        return ids
-
-    def particle(self, i: int) -> Particle:
-        p = int(self.parent[i])
-        parent_id = None if p < 0 else (int(self.lid_hi[p]) << 64) | int(self.lid_lo[p])
-        return Particle(
-            lineage_id=(int(self.lid_hi[i]) << 64) | int(self.lid_lo[i]),
-            parent_id=parent_id,
-            birth_time=float(self.birth[i]),
-            position=(float(self.x[i]), float(self.y[i])),
-            next_proposal=float(self.next_proposal[i]),
-        )
-
-    def lineage_position(self, i: int, s: float):
-        """Position at snapshot time s of the ancestor of particle i."""
-        if s not in self.snapshots:
-            raise DomainError(f"no snapshot stored at t={s}")
-        n_alive, xs, ys = self.snapshots[s]
-        j = int(i)
-        while self.birth[j] > s:
-            j = int(self.parent[j])
-            if j < 0:
-                raise DomainError("lineage predates the root")
-        if j >= n_alive:
-            raise DomainError("ancestor missing from snapshot")
-        return float(xs[j]), float(ys[j])
+    def ancestors(self, n: int, s: float) -> np.ndarray:
+        """Ledger index, for each particle i < n, of its ancestor alive at
+        time s (itself when born by s): one parent walk for all of them."""
+        idx = np.arange(n)
+        late = np.nonzero(self.birth[idx] > s)[0]
+        while len(late):
+            idx[late] = self.parent[idx[late]]
+            late = late[self.birth[idx[late]] > s]
+        return idx
 
     def export_snapshots_csv(self, path, replicate: int = 0):
         times = sorted(self.snapshots)
         alive = [self.snapshots[t] for t in times]  # (n_alive, x, y) per time
         counts = [n for n, _, _ in alive]
-        ids = self.lineage_hexes(max(counts, default=0))
+        rows = np.concatenate([np.empty(0, dtype=np.int64)] + [np.arange(n) for n in counts])
         # the replicate and time cells repeat: format each value once and
         # pass repeated references to its text
         return write_csv(path, ["replicate", "time", "lineage_id", "x", "y"], [
             [str(replicate)] * sum(counts),
             list(chain.from_iterable(repeat(str(t), n) for t, n in zip(times, counts))),
-            list(chain.from_iterable(ids[:n] for n in counts)),
+            HexIds(self.lid_hi[rows], self.lid_lo[rows]),
             np.concatenate([np.empty(0)] + [x[:n] for n, x, _ in alive]),
             np.concatenate([np.empty(0)] + [y[:n] for n, _, y in alive]),
         ])
@@ -217,7 +195,6 @@ class _Ledger:
         self.x[sub] += sd * self.rng.normal(key, base)
         self.y[sub] += sd * self.rng.normal(key, base + np.uint64(1))
         self.t_mat[sub] = to_time
-
 
     def checkpoint(self):
         return {k: getattr(self, k).copy() for k in
@@ -299,7 +276,6 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
                    snapshot_times: Sequence[float] = (),
                    cap: int = DEFAULT_CAP,
                    consts: DerivedConstants | None = None,
-                   barrier_s0: float = 1.0,
                    record_splits: bool = False,
                    spawn_children: bool = True):
     """Exact thinning simulation; returns (Population, [ExtremalStats]).
@@ -335,7 +311,7 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
         reached = t_b
         if is_snap:
             snapshots[t_b] = (led.size, led.x.copy(), led.y.copy())
-            barrier_ok_so_far &= (t_b < barrier_s0) or (led.x.max() <= SQRT2 * t_b - 1.0)
+            barrier_ok_so_far &= (t_b < 1.0) or (led.x.max() <= SQRT2 * t_b - 1.0)
             stats.append(_extremal_stats(t_b, led, consts, barrier_ok_so_far))
 
     pop = Population(
@@ -350,8 +326,7 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
 def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
                 snapshot_times: Sequence[float] = (),
                 cap: int = DEFAULT_CAP, beta: float = 1.0,
-                include_homogeneous: bool = False,
-                consts_by_alpha: dict | None = None):
+                include_homogeneous: bool = False):
     """Coupled sinusoidal-family runs across alpha (ascending), plus an
     optional homogeneous member acting as the alpha = infinity envelope.
 
@@ -374,15 +349,8 @@ def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
     if include_homogeneous and not any(k == "inf" for k, _ in members):
         members.append(("inf", ModelParams(alpha=1.0, beta=beta,
                                            rate_family=RateFamily.HOMOGENEOUS)))
-    for key, p in members:
-        if p.rate_family not in (RateFamily.SIN_POW, RateFamily.HOMOGENEOUS):
-            raise ConfigurationError("coupling needs an alpha-monotone family")
-
-    runs = {}
-    for key, p in members:
-        consts = (consts_by_alpha or {}).get(key)
-        runs[key] = run_continuous(p, t_end, seed, snapshot_times=snapshot_times,
-                                   cap=cap, consts=consts)
+    runs = {key: run_continuous(p, t_end, seed, snapshot_times=snapshot_times, cap=cap)
+            for key, p in members}
 
     snaps = sorted(set(float(s) for s in snapshot_times) | {float(t_end)})
     pops = [runs[key][0] for key, _ in members]
@@ -488,26 +456,15 @@ class PathFunctional:
         return tuple(self.times) if self.kind == "x_cylinder" else ()
 
     def on_population(self, pop: Population, t_end: float) -> float:
-        n_alive, xs, ys = pop.snapshots[t_end]
-        if self.kind == "one":
-            return float(n_alive)
-        if self.kind == "x_indicator":
-            return float(np.count_nonzero(xs[:n_alive] > self.x0))
-        if self.kind == "r_indicator":
-            r = np.hypot(xs[:n_alive], ys[:n_alive])
-            return float(np.count_nonzero(r > self.r0))
-        if self.kind == "x_cylinder":
-            total = 0
-            for i in range(n_alive):
-                ok = xs[i] > (self.thresholds[-1] if self.times and self.times[-1] == t_end else -math.inf)
-                for s, a in zip(self.times, self.thresholds):
-                    px, _ = pop.lineage_position(i, s)
-                    if px <= a:
-                        ok = False
-                        break
-                total += 1 if ok else 0
-            return float(total)
-        raise ConfigurationError(f"unsupported functional {self.kind!r}")
+        """Sum of F over the particles alive at t_end, each path read at the
+        snapshots of its ancestors."""
+        n_alive = pop.snapshots[t_end][0]
+        xs_by_time, ys_by_time = {}, {}
+        for s in set(self.snapshot_times(t_end)) | {t_end}:
+            _, xs, ys = pop.snapshots[s]
+            anc = pop.ancestors(n_alive, s)
+            xs_by_time[s], ys_by_time[s] = xs[anc], ys[anc]
+        return float(self.on_paths(xs_by_time, ys_by_time, t_end).sum())
 
     def on_paths(self, xs_by_time: dict, ys_by_time: dict, t_end: float):
         if self.kind == "one":
@@ -557,6 +514,17 @@ def _mc_spine_one(params, t_end, functional, n_mc, seed, dt=0.01):
     return mean, stderr
 
 
+def _compare(sims, mc_mean, mc_se, n_mc):
+    """Both sides of a moment identity, their standard errors and the z-score."""
+    n_sim = len(sims)
+    sim_mean = float(sims.mean())
+    sim_se = float(sims.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else 0.0
+    denom = math.hypot(sim_se, mc_se)
+    z = (sim_mean - mc_mean) / denom if denom > 0 else 0.0
+    return {"sim": sim_mean, "sim_se": sim_se, "mc": mc_mean, "mc_se": mc_se,
+            "z": z, "n_sim": n_sim, "n_mc": n_mc}
+
+
 def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
                       n_sim: int, n_mc: int, seed: int, dt_mc: float = 0.01) -> dict:
     """Simulator average of sum_u F(u) against the single-spine expectation
@@ -573,60 +541,41 @@ def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
         pop, _ = run_continuous(params, t, derive_seed(seed, rep),
                                 snapshot_times=snap)
         sims[rep] = functional.on_population(pop, t)
-    sim_mean = float(sims.mean())
-    sim_se = float(sims.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else 0.0
-    denom = math.hypot(sim_se, mc_se)
-    z = (sim_mean - mc_mean) / denom if denom > 0 else 0.0
-    return {"sim": sim_mean, "sim_se": sim_se, "mc": mc_mean, "mc_se": mc_se,
-            "z": z, "n_sim": n_sim, "n_mc": n_mc}
+    return _compare(sims, mc_mean, mc_se, n_mc)
 
 
 def _mc_spine_two(params, t_end, f_fun, g_fun, n_mc, seed, dt=0.01):
     """Two-spine integral: the split time is stratified over cell midpoints,
     and both spines are marched on a half-step grid so the branch point is
-    a grid point."""
+    a grid point.  The march carries spine 1 and a free planar path W; after
+    its branch column c, spine 2 is W + (spine 1 at c - W at c).  Its
+    integral is that of the path following spine 1 up to c and spine 2
+    after it, less spine 1's integral up to c."""
     m = int(round(t_end / dt))
-    mm = 2 * m  # half-step columns
-    hgrid = np.linspace(0.0, t_end, mm + 1)
-    hstep = hgrid[1] - hgrid[0]
-    sd = math.sqrt(hstep)
+    hgrid = np.linspace(0.0, t_end, 2 * m + 1)
+    rate = lambda col, r: branching_rate(np.arctan2(col[1], col[0]), params)
 
     def sample(rng, size):
         # branch cell midpoints: odd half-grid indices 1, 3, ..., 2m-1
-        cells = rng.integers(0, m, size)
-        branch_col = 2 * cells + 1
-        x1 = np.zeros(size); y1 = np.zeros(size)
-        x2 = np.zeros(size); y2 = np.zeros(size)
-        started = np.zeros(size, dtype=bool)
-        int1 = np.zeros(size)
-        int2 = np.zeros(size)
-        b1_prev = branching_rate(np.arctan2(y1, x1), params)
-        b2_prev = np.zeros(size)
-        b_at_branch = np.zeros(size)
-        for j in range(mm):
-            x1 += sd * rng.standard_normal(size)
-            y1 += sd * rng.standard_normal(size)
-            b1 = branching_rate(np.arctan2(y1, x1), params)
-            int1 += 0.5 * (b1_prev + b1) * hstep
-            b1_prev = b1
-            # spine 2 advances independently where it has branched off
-            inc_x = sd * rng.standard_normal(size)
-            inc_y = sd * rng.standard_normal(size)
-            x2 = np.where(started, x2 + inc_x, x2)
-            y2 = np.where(started, y2 + inc_y, y2)
-            b2 = branching_rate(np.arctan2(y2, x2), params)
-            int2 += np.where(started, 0.5 * (b2_prev + b2) * hstep, 0.0)
-            b2_prev = np.where(started, b2, 0.0)
-            at_branch = branch_col == (j + 1)
+        branch_col = 2 * rng.integers(0, m, size) + 1
+        int1, int2 = _Trapezoid(hgrid, rate), _Trapezoid(hgrid, rate)
+        shift = np.zeros((2, size))
+        b_at_branch, int1_at_branch = np.zeros(size), np.zeros(size)
+        # rows: spine 1 (x, y), then W (x, y), drawn in that order
+        for j, col in _march(rng, hgrid, np.zeros((4, size))):
+            spine1, free = col[:2], col[2:]
+            b1 = int1.add(j, spine1)
+            at_branch = branch_col == j
             if np.any(at_branch):
-                x2 = np.where(at_branch, x1, x2)
-                y2 = np.where(at_branch, y1, y2)
+                shift = np.where(at_branch, spine1 - free, shift)
                 b_at_branch = np.where(at_branch, b1, b_at_branch)
-                b2_prev = np.where(at_branch, b1, b2_prev)
-                started |= at_branch
-        fvals = f_fun({t_end: x1}, {t_end: y1}, t_end)
-        gvals = g_fun({t_end: x2}, {t_end: y2}, t_end)
-        return 2.0 * t_end * b_at_branch * np.exp(int1 + int2) * fvals * gvals
+                int1_at_branch = np.where(at_branch, int1.total, int1_at_branch)
+            int2.add(j, np.where(branch_col < j, free + shift, spine1))
+        spine2 = free + shift
+        fvals = f_fun({t_end: spine1[0]}, {t_end: spine1[1]}, t_end)
+        gvals = g_fun({t_end: spine2[0]}, {t_end: spine2[1]}, t_end)
+        weight = np.exp(int1.total + (int2.total - int1_at_branch))
+        return 2.0 * t_end * b_at_branch * weight * fvals * gvals
 
     mean, stderr, _ = _chunked_mean(seed, n_mc, sample, key_offset=7_000_000, chunk=10_000)
     return mean, stderr
@@ -648,21 +597,14 @@ def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
     sims = np.empty(n_sim)
     for rep in range(n_sim):
         pop, _ = run_continuous(params, t, derive_seed(seed, rep))
-        fsum = f.on_population(pop, t)
-        gsum = g.on_population(pop, t)
         n_alive, xs, ys = pop.snapshots[t]
         alive_x, alive_y = {t: xs[:n_alive]}, {t: ys[:n_alive]}
         fv = f.on_paths(alive_x, alive_y, t)
         gv = g.on_paths(alive_x, alive_y, t)
-        sims[rep] = fsum * gsum - float((fv * gv).sum())
-    sim_mean = float(sims.mean())
-    sim_se = float(sims.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else 0.0
+        sims[rep] = fv.sum() * gv.sum() - (fv * gv).sum()
     mc_mean, mc_se = _mc_spine_two(params, t, f.on_paths, g.on_paths, n_mc,
                                    seed + 1, dt=dt_mc)
-    denom = math.hypot(sim_se, mc_se)
-    z = (sim_mean - mc_mean) / denom if denom > 0 else 0.0
-    return {"sim": sim_mean, "sim_se": sim_se, "mc": mc_mean, "mc_se": mc_se,
-            "z": z, "n_sim": n_sim, "n_mc": n_mc}
+    return _compare(sims, mc_mean, mc_se, n_mc)
 
 
 def porism_probe(params: ModelParams, t_list: Sequence[float], replicates: int,
@@ -695,8 +637,6 @@ def porism_probe(params: ModelParams, t_list: Sequence[float], replicates: int,
             if abs(st.argmax_y) > st.t ** (kappa / 2.0 + eps):
                 row["exceed"] += 1
             if consts is not None and st.t > 1.0:
-                from .model import centering_m
-
                 row["m_minus_center"].append(st.m_t - centering_m(st.t, consts))
     report = {"eps": eps, "replicates": replicates, "truncated": truncated, "rows": {}}
     for t, row in rows.items():
@@ -731,11 +671,10 @@ def _extremal_stats(t_b, led, consts, barrier_ok):
         if np.any(pos):
             lv, sg = logsumexp(np.log(a[pos]) - SQRT2 * a[pos], return_sign=True)
             total += sg * math.exp(lp + lv)
-        if np.any(~pos):
-            neg = a < 0
-            if np.any(neg):
-                lv = logsumexp(np.log(-a[neg]) - SQRT2 * a[neg])
-                total -= math.exp(lp + lv)
+        neg = a < 0
+        if np.any(neg):
+            lv = logsumexp(np.log(-a[neg]) - SQRT2 * a[neg])
+            total -= math.exp(lp + lv)
         z_t = total
     return ExtremalStats(
         t=float(t_b), m_t=float(r[imax]), max_x=float(led.x.max()),

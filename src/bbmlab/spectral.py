@@ -81,12 +81,6 @@ class EigenSystem:
             vals = np.where(inner, fill, vals)
         return sgn * vals
 
-    def inner_product(self, m: int, n: int) -> float:
-        """Full-line <phi_m, phi_n> by the midpoint rule (exact parity zeros)."""
-        if (m - n) % 2 == 1:
-            return 0.0
-        return 2.0 * self.h_grid * float(self.eigenfunctions[m] @ self.eigenfunctions[n])
-
     @property
     def h_grid(self) -> float:
         return float(self.grid[1] - self.grid[0])

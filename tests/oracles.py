@@ -103,3 +103,28 @@ def weyl_constant_closed_form(alpha):
     from scipy.special import gamma as G
 
     return 2.0 / math.pi * G(1.0 / alpha) * G(1.5) / (alpha * G(1.0 / alpha + 1.5))
+
+
+def functional_by_ancestor_walk(pop, fn, t_end):
+    """Sum of the path functional fn over the particles alive at t_end, one
+    particle at a time: each ancestor is found by following parent links
+    until the birth time is at most the snapshot time, and read from that
+    snapshot.  The reference for PathFunctional.on_population."""
+    n_alive, xs, ys = pop.snapshots[t_end]
+    total = 0
+    for i in range(n_alive):
+        if fn.kind == "one":
+            ok = True
+        elif fn.kind == "x_indicator":
+            ok = xs[i] > fn.x0
+        elif fn.kind == "r_indicator":
+            ok = np.hypot(xs[i], ys[i]) > fn.r0
+        else:  # x_cylinder
+            ok = True
+            for s, a in zip(fn.times, fn.thresholds):
+                j = i
+                while pop.birth[j] > s:
+                    j = pop.parent[j]
+                ok = ok and pop.snapshots[s][1][j] > a
+        total += 1 if ok else 0
+    return float(total)

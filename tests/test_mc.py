@@ -6,9 +6,9 @@ import pytest
 from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.mc import (
     ErrorEnvelope,
-    PathSampler,
     _chunked_mean,
     _monotone_on_grid,
+    _weight_grid,
     alpha2_exponent_fit,
     bessel_density,
     bridge_barrier_mc,
@@ -20,6 +20,8 @@ from bbmlab.mc import (
     make_envelope,
 )
 from bbmlab.model import ModelParams, RateFamily
+
+from test_mc_stream import marched_paths
 
 P11 = ModelParams(alpha=1.0, beta=1.0, rate_family=RateFamily.POW_CLAMP)
 
@@ -51,32 +53,22 @@ class TestEnvelope:
             make_envelope(-1.0, 1.0, 1.0, 1.0)
 
 
-class TestPathSampler:
+class TestMarch:
     def test_bridge_endpoints_exact(self):
-        from bbmlab.mc import PathSampler
-
-        sampler = PathSampler(seed=3, step=0.2, scheme="bridge")
-        grid, paths = sampler.paths(300, 2.0, 6.0, 0.3, y=-0.7)
+        grid, paths = marched_paths(3, 300, 2.0, 6.0, 0.3, 0.2, end=-0.7)
         assert np.all(paths[:, 0] == 0.3)
         assert np.all(paths[:, -1] == -0.7)
 
     def test_forward_increments_gaussian(self):
-        from bbmlab.mc import PathSampler
-
-        sampler = PathSampler(seed=4, step=0.25, scheme="forward")
-        grid, paths = sampler.paths(5000, 1.0, 5.0, 0.0)
+        grid, paths = marched_paths(4, 5000, 1.0, 5.0, 0.0, 0.25)
         incr = np.diff(paths, axis=1) / math.sqrt(grid[1] - grid[0])
         import scipy.stats as stt
 
         assert stt.kstest(incr.ravel(), "norm").pvalue > 0.01
 
     def test_bit_identical(self):
-        from bbmlab.mc import PathSampler
-
-        s1 = PathSampler(seed=9, step=0.2, scheme="forward")
-        s2 = PathSampler(seed=9, step=0.2, scheme="forward")
-        _, a = s1.paths(500, 1.0, 3.0, 0.0)
-        _, b = s2.paths(500, 1.0, 3.0, 0.0)
+        _, a = marched_paths(9, 500, 1.0, 3.0, 0.0, 0.2)
+        _, b = marched_paths(9, 500, 1.0, 3.0, 0.0, 0.2)
         assert np.array_equal(a, b)
 
 
@@ -107,7 +99,7 @@ class TestTotalMass:
         with pytest.raises(DomainError):
             bridge_barrier_mc(0.0, 0.0, 1.0, 0.0, 1.0, 1000, step, 1)
         with pytest.raises(DomainError):
-            PathSampler(1, step).paths(10, 0.0, 1.0, 0.0)
+            _weight_grid(0.0, 1.0, step)
 
     def test_reducer_needs_a_sample(self):
         with pytest.raises(ConfigurationError):
@@ -165,7 +157,7 @@ class TestGtilde:
         est = estimate_gtilde(4.0, 0.0, 16.0, 0.5, P11, 40000, 0.04, seed=505)
         ref = kernel_G_from_g(4.0, 0.0, 16.0, 0.5, 1.0, 1.0,
                               grids=PdeGrids(x_max=8.0, dx=1 / 128, cfl_pot=0.02))
-        assert est.within(ref, 3.0)
+        assert abs(est.value - ref) <= 3.0 * est.stderr
 
 
 class TestLocalization:
@@ -211,13 +203,13 @@ class TestBridgeBarrier:
     def test_mc_agrees(self):
         exact = bridge_barrier_probability(0.0, 0.0, 1.0, 0.0, 1.0)
         est = bridge_barrier_mc(0.0, 0.0, 1.0, 0.0, 1.0, 40000, 1e-3, seed=11)
-        assert est.within(exact, 3.0)
+        assert abs(est.value - exact) <= 3.0 * est.stderr
 
     def test_mc_three_configurations(self):
         for (K, t, seed) in ((1.0, 1.0, 11), (1.5, 2.0, 12), (0.8, 0.5, 13)):
             exact = bridge_barrier_probability(0.0, 0.1, t, -0.2, K)
             est = bridge_barrier_mc(0.0, 0.1, t, -0.2, K, 30000, 1e-3, seed=seed)
-            assert est.within(exact, 3.0)
+            assert abs(est.value - exact) <= 3.0 * est.stderr
 
 
 class TestBessel:

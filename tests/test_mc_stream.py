@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bbmlab import mc, sim
+from bbmlab.mc import _chunks, _march, _weight_grid
 from bbmlab.model import ModelParams, RateFamily
 
 P11 = ModelParams(alpha=1.0, beta=1.0, rate_family=RateFamily.POW_CLAMP)
@@ -20,6 +21,15 @@ REL = 1e-12
 
 def close(value, pinned):
     assert value == pytest.approx(pinned, rel=REL, abs=0.0)
+
+
+def marched_paths(seed, n, s, t, x, step, end=None):
+    """The grid and the n paths, one row each, that the estimators march
+    from x: the chunks of `_chunks`, column by column through `_march`."""
+    grid = _weight_grid(s, t, step)
+    rows = [np.column_stack([col for _, col in _march(rng, grid, np.full(size, float(x)), end)])
+            for rng, size in _chunks(seed, n)]
+    return grid, np.concatenate(rows)
 
 
 @pytest.mark.parametrize("branch, pinned", [
@@ -84,8 +94,9 @@ def test_bridge_barrier_mc():
          -0.35842428636929813, -0.2]]),
 ])
 def test_path_sampler(scheme, y, rows):
-    grid, paths = mc.PathSampler(seed=10, step=0.1, scheme=scheme).paths(
-        25_000, 1.0, 1.5, 0.3, y=y)
+    # the forward scheme has no endpoint; the bridge one ends at y
+    assert (scheme == "bridge") == (y is not None)
+    grid, paths = marched_paths(10, 25_000, 1.0, 1.5, 0.3, 0.1, end=y)
     assert paths.shape == (25_000, 6)
     assert np.array_equal(grid, np.linspace(1.0, 1.5, 6))
     # first and last path of the full chunk and of the remainder chunk

@@ -17,8 +17,6 @@ from bbmlab.model import (
     conjectured_corrections,
     derived_constants,
     log_coefficient,
-    params_from_config,
-    params_to_config,
     wrap_angle,
 )
 
@@ -191,27 +189,3 @@ class TestConjectures:
     def test_alpha4(self):
         rep = conjectured_corrections(ModelParams(alpha=4.0, beta=1.0, rate_family=RateFamily.POW_CLAMP))
         assert rep.alpha_gt2_log_coefficient == pytest.approx((1 + 0.25) / SQRT2, rel=1e-14)
-
-
-class TestConfigRoundTrip:
-    def test_exact_float_round_trip(self):
-        p = ModelParams(alpha=0.1 + 0.7, beta=math.pi / 3, rate_family=RateFamily.POW_CLAMP)
-        q = params_from_config(params_to_config(p))
-        assert q.alpha == p.alpha and q.beta == p.beta
-        assert q.rate_family == p.rate_family
-
-    def test_table_round_trip(self):
-        tab = RateTable(tuple(np.linspace(0.2, 0.2, 17)))
-        p = ModelParams(alpha=1.0, rate_family=RateFamily.CUSTOM, table=tab)
-        q = params_from_config(params_to_config(p))
-        assert q.table.values == p.table.values
-
-    def test_numpy_float_round_trip(self):
-        # numpy 2 reprs np.float64 as "np.float64(...)", which did not parse back
-        p = ModelParams(alpha=np.float64(1.25), beta=np.float64(0.5))
-        q = params_from_config(params_to_config(p))
-        assert (q.alpha, q.beta) == (1.25, 0.5)
-
-    def test_missing_section(self):
-        with pytest.raises(ConfigurationError):
-            params_from_config("[other]\nx = 1\n")

@@ -23,6 +23,7 @@ from bbmlab.files import ROWS_PER_BLOCK, write_csv
 from bbmlab.model import ModelParams, RateFamily
 from bbmlab.rng import CounterRNG, mix_words
 from bbmlab.sim import (
+    HexIds,
     _chain_holds,
     _child_index,
     _id_rows,
@@ -56,25 +57,33 @@ def test_pinned_csv_bytes(tmp_path):
     assert written == PINNED_SHA256
 
 
+def _hex_ids(pop):
+    return HexIds(pop.lid_hi, pop.lid_lo)
+
+
 class TestLineageIds:
     def test_hexes_match_one_by_one(self):
         pop, _ = run_continuous(ModelParams(alpha=1.0), 3.0, 11)
         assert pop.size > 5
-        assert pop.lineage_hexes(pop.size) == [pop.lineage_hex(i) for i in range(pop.size)]
-        assert pop.lineage_hexes(3) == [pop.lineage_hex(i) for i in range(3)]
-        assert pop.lineage_hexes(0) == []
+        assert len(_hex_ids(pop)) == pop.size
+        assert _hex_ids(pop)[:] == [pop.lineage_hex(i) for i in range(pop.size)]
+        assert _hex_ids(pop)[2:5] == [pop.lineage_hex(i) for i in range(2, 5)]
+        assert _hex_ids(pop)[:0] == []
 
     def test_hexes_across_blocks(self):
         pop, _ = run_discrete(ModelParams(alpha=1.0, rate_family=RateFamily.HOMOGENEOUS), 17, 2)
         assert pop.size == 2 ** 17 > ROWS_PER_BLOCK
-        assert pop.lineage_hexes(pop.size) == [pop.lineage_hex(i) for i in range(pop.size)]
+        ids = _hex_ids(pop)
+        # the two blocks write_csv asks for
+        got = ids[:ROWS_PER_BLOCK] + ids[ROWS_PER_BLOCK:2 * ROWS_PER_BLOCK]
+        assert got == [pop.lineage_hex(i) for i in range(pop.size)]
 
     def test_hexes_of_extreme_words(self):
         pop, _ = run_discrete(ModelParams(alpha=1.0), 2, 1)
         pop.lid_hi[:2] = [0, 2 ** 64 - 1]
         pop.lid_lo[:2] = [2 ** 64 - 1, 1]
-        assert pop.lineage_hexes(2) == ["0000000000000000ffffffffffffffff",
-                                        "ffffffffffffffff0000000000000001"]
+        assert _hex_ids(pop)[:2] == ["0000000000000000ffffffffffffffff",
+                                     "ffffffffffffffff0000000000000001"]
 
 
 class TestChildIndex:
@@ -173,6 +182,23 @@ class TestWriteCsv:
         monkeypatch.setattr(files, "ROWS_PER_BLOCK", 7)
         columns = [np.arange(23), np.linspace(-1.0, 1.0, 23), [f"id{i}" for i in range(23)]]
         assert _written(tmp_path, ["a", "b", "c"], columns) == _old_rows(["a", "b", "c"], columns)
+
+    def test_columns_are_sliced_one_block_at_a_time(self, tmp_path):
+        # a column such as HexIds formats what a slice asks for, so a wider
+        # slice would hold more than one block of text at once
+        widths = []
+
+        class Spy(HexIds):
+            def __getitem__(self, rows):
+                widths.append(len(range(*rows.indices(len(self)))))
+                return super().__getitem__(rows)
+
+        n = 2 * ROWS_PER_BLOCK + 5
+        words = np.arange(n, dtype=np.uint64)
+        ids = Spy(words, words)
+        text = _written(tmp_path, ["lineage_id", "x"], [ids, np.zeros(n)])
+        assert widths == [ROWS_PER_BLOCK, ROWS_PER_BLOCK, 5]
+        assert text.splitlines()[1:] == [f"{h},0.0" for h in HexIds(words, words)[:]]
 
     def test_zero_rows(self, tmp_path):
         assert _written(tmp_path, ["a", "b"], [[], np.empty(0)]) == "a,b\n"

@@ -8,6 +8,8 @@ from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.model import ModelParams, RateFamily, RateTable, derived_constants
 from bbmlab.sim import (
     PathFunctional,
+    _chain_holds,
+    _id_rows,
     derive_seed,
     export_stats_csv,
     many_to_one_check,
@@ -17,6 +19,8 @@ from bbmlab.sim import (
     run_coupled,
     run_discrete,
 )
+
+from oracles import functional_by_ancestor_walk
 
 P_SIN = ModelParams(alpha=1.0, rate_family=RateFamily.SIN_POW)
 P_HOM = ModelParams(alpha=1.0, rate_family=RateFamily.HOMOGENEOUS)
@@ -60,17 +64,16 @@ class TestContinuous:
 
     def test_unique_ids(self):
         pop, _ = run_continuous(P_HOM, 7.0, 3)
-        assert len(pop.lineage_ids()) == pop.size
+        assert pop.size > 100
+        assert len(np.unique(_id_rows(pop.lid_hi, pop.lid_lo))) == pop.size
 
     def test_particle_view(self):
+        # the ledger rows of the root and of its first child
         pop, _ = run_continuous(P_HOM, 4.0, 3)
-        root = pop.particle(0)
-        assert root.parent_id is None and root.birth_time == 0.0
-        assert root.birth_time <= root.next_proposal
-        if pop.size > 1:
-            kid = pop.particle(1)
-            assert kid.parent_id is not None
-            assert kid.birth_time <= kid.next_proposal
+        assert pop.parent[0] == -1 and pop.birth[0] == 0.0
+        assert pop.birth[0] <= pop.next_proposal[0]
+        assert pop.size > 1
+        assert pop.parent[1] >= 0 and pop.birth[1] <= pop.next_proposal[1]
 
     def test_child_ids_reproducible(self):
         from bbmlab.rng import child_id
@@ -133,9 +136,9 @@ class TestCoupled:
         sizes = [runs[k][0].size for k in ("0.5", "1.0", "2.0", "4.0", "inf")]
         assert sizes == sorted(sizes)
         # chain is asserted inside run_coupled; verify the top member too
-        top = runs["inf"][0].lineage_ids()
+        top = _id_rows(runs["inf"][0].lid_hi, runs["inf"][0].lid_lo)
         for k in ("0.5", "1.0", "2.0", "4.0"):
-            assert runs[k][0].lineage_ids().issubset(top)
+            assert _chain_holds([_id_rows(runs[k][0].lid_hi, runs[k][0].lid_lo), top])
 
     def test_single_alpha_equals_plain_run(self):
         one = run_coupled([1.0], 4.0, 99, snapshot_times=[2.0])["1.0"][0]
@@ -205,6 +208,22 @@ class TestDiscrete:
 
 
 class TestManyToFew:
+    @pytest.mark.parametrize("fn", [
+        PathFunctional("x_cylinder", times=(1.0, 2.0, 3.0), thresholds=(-1.0, -0.5, 0.0)),
+        PathFunctional("one"),
+        PathFunctional("x_indicator", x0=0.5),
+        PathFunctional("r_indicator", r0=1.5),
+    ], ids=["x_cylinder", "one", "x_indicator", "r_indicator"])
+    def test_on_population_equals_ancestor_walk(self, fn):
+        # snapshot times at and before t_end; the cylinder's last time is t_end
+        values = []
+        for rep in range(20):
+            pop, _ = run_continuous(P_SIN, 3.0, derive_seed(77, rep),
+                                    snapshot_times=(1.0, 2.0))
+            values.append(fn.on_population(pop, 3.0))
+            assert values[-1] == functional_by_ancestor_walk(pop, fn, 3.0)
+        assert len(set(values)) > 1
+
     def test_mto1_constant_rate(self):
         rep = many_to_one_check(P_HOM, 2.0, PathFunctional("one"), 500, 2000, seed=11)
         assert rep["mc"] == pytest.approx(math.exp(2.0), rel=1e-12)
