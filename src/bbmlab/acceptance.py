@@ -353,7 +353,7 @@ def criterion_16(ctx):
         outputs = []
         for run in range(2):
             with_dir = Path(tempfile.mkdtemp(prefix=f"det_{name}_{run}_"))
-            files = op.run(dict(args), with_dir)
+            files = op.execute(args, with_dir)
             outputs.append({Path(f).name: Path(f).read_bytes() for f in files})
         if outputs[0] != outputs[1]:
             mismatches.append(name)

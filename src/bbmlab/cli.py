@@ -14,14 +14,7 @@ import sys
 from pathlib import Path
 
 from . import operations
-from .errors import (
-    AccuracyError,
-    ConfigurationError,
-    DomainError,
-    ExtrapolationError,
-    NumericalFailure,
-    ResourceError,
-)
+from .errors import ConfigurationError, DomainError, NumericalFailure
 
 DEFAULT_ROOT_ENV = "BBMLAB_OUT"
 
@@ -29,14 +22,16 @@ DEFAULT_ROOT_ENV = "BBMLAB_OUT"
 def _add_operation_parsers(sub):
     for name, op in operations.REGISTRY.items():
         p = sub.add_parser(name, help=op.anchor)
-        for param in sorted(op.parameters):
-            if param == "seed":
-                continue
-            p.add_argument(f"--{param.replace('_', '-')}", dest=param, default=None)
-        # parsed by Operation.bind, which requires it for a stochastic
-        # operation and rejects it for a deterministic one, so a bad,
-        # missing or needless seed exits with code 1 rather than argparse's 2
-        p.add_argument("--seed", default=None)
+        # every value stays text here: Operation.bind parses it and fills
+        # in the registry default, so a bad, missing or needless value (a
+        # seed for a deterministic operation included) exits with code 1
+        # rather than argparse's 2
+        for param, spec in sorted(op.parameters.items()):
+            shown = "required" if spec.default is operations.REQUIRED else \
+                f"default: {spec.default}"
+            p.add_argument(f"--{param.replace('_', '-')}", dest=param, default=None, help=shown)
+        if not op.stochastic:
+            p.add_argument("--seed", default=None, help="not taken: deterministic")
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(_operation=name)
 
@@ -102,19 +97,17 @@ def main(argv=None) -> int:
 
         # a registry operation
         op = operations.REGISTRY[args._operation]
-        params = op.bind({key: getattr(args, key) for key in [*op.parameters, "seed"]
-                          if getattr(args, key) is not None})
         out = Path(args.out or os.environ.get(DEFAULT_ROOT_ENV, "runs")) / op.name
-        out.mkdir(parents=True, exist_ok=True)
-        files = op.run(params, out)
+        files = op.execute({key: getattr(args, key) for key in [*op.parameters, "seed"]
+                            if getattr(args, key) is not None}, out)
         for f in files:
             print(f)
         return 0
 
-    except (ConfigurationError, DomainError, ExtrapolationError) as exc:
+    except (ConfigurationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, AccuracyError, ResourceError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an output directory or file that cannot be written

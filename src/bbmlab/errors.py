@@ -1,8 +1,8 @@
 """Error taxonomy shared by all modules.
 
 Exit-code mapping used by the CLI: configuration/domain errors are
-validation failures (exit 1), numerical/accuracy/resource errors are
-numerical failures (exit 2), failed acceptance checks exit 3.
+validation failures (exit 1), numerical failures exit 2, failed acceptance
+checks exit 3.
 """
 
 
@@ -11,24 +11,15 @@ class ConfigurationError(ValueError):
 
 
 class DomainError(ValueError):
-    """Arguments outside an operation's mathematical domain."""
-
-
-class AccuracyError(RuntimeError):
-    """A computed quantity failed its internal accuracy requirement."""
+    """Arguments outside an operation's mathematical domain, an evaluation
+    point outside a stored grid included."""
 
 
 class NumericalFailure(RuntimeError):
-    """A solver did not converge; carries diagnostic state when available."""
+    """A solver did not converge, a computed quantity failed its accuracy
+    requirement, or a run would exceed its step budget; carries diagnostic
+    state when available."""
 
     def __init__(self, message, estimates=None):
         super().__init__(message)
         self.estimates = estimates
-
-
-class ResourceError(RuntimeError):
-    """A run would exceed its grid/step/population budget."""
-
-
-class ExtrapolationError(ValueError):
-    """Requested evaluation point lies outside a stored grid."""

@@ -156,8 +156,7 @@ def run_experiment(spec: ExperimentSpec, root: Path | str | None = None,
         tmp_dir = run_dir / (label + ".tmp")
         if tmp_dir.exists():
             shutil.rmtree(tmp_dir)
-        tmp_dir.mkdir(parents=True)
-        files = op.run(params, tmp_dir)
+        files = op.execute(params, tmp_dir)
         cell_dir = run_dir / label
         if cell_dir.exists():
             shutil.rmtree(cell_dir)

@@ -77,33 +77,32 @@ class ErrorEnvelope:
         return -np.minimum(self.magnitude(y, r), self.eta)
 
 
-def _monotone_on_grid(L, a, b, alpha, eta, n_y=1000, n_r=40, r_factor=1e4):
-    """Check y -> (y/r)^alpha (1 + f-) non-decreasing on a (y, r) grid."""
+def _monotone_on_grid(L, a, b, alpha, eta):
+    """Check y -> (y/r)^alpha (1 + f-) non-decreasing on a grid of 1000 y
+    values for each of 40 radii spanning four decades."""
     r0 = (2.0 * L) ** (1.0 / b)
-    for r in np.geomspace(r0, r0 * r_factor, n_r):
+    for r in np.geomspace(r0, r0 * 1e4, 40):
         # resolve the region around the cap; beyond it the map is clearly
         # increasing, so scan up to twice the cap location
         u_cap = ((eta - L * r ** (-b)) / L)
         u_hi = 2.0 * max(u_cap, 0.0) ** (1.0 / a) if u_cap > 0 else 1.0
-        y = np.linspace(0.0, max(u_hi, 1.0) * r, n_y)
+        y = np.linspace(0.0, max(u_hi, 1.0) * r, 1000)
         vals = (y / r) ** alpha * (1.0 - np.minimum(L * ((y / r) ** a + r ** (-b)), eta))
         if np.any(np.diff(vals) < -1e-15):
             return False
     return True
 
 
-def make_envelope(L: float, a: float, b: float, alpha: float,
-                  grid=(1000, 40)) -> ErrorEnvelope:
+def make_envelope(L: float, a: float, b: float, alpha: float) -> ErrorEnvelope:
     """Bisect for the largest admissible eta in (0, 1/2]."""
     if min(L, a, b) <= 0:
         raise ConfigurationError("envelope parameters must be positive")
-    n_y, n_r = grid
-    if _monotone_on_grid(L, a, b, alpha, 0.5, n_y, n_r):
+    if _monotone_on_grid(L, a, b, alpha, 0.5):
         return ErrorEnvelope(L, a, b, alpha, 0.5)
     lo, hi = 0.0, 0.5
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if _monotone_on_grid(L, a, b, alpha, mid, n_y, n_r):
+        if _monotone_on_grid(L, a, b, alpha, mid):
             lo = mid
         else:
             hi = mid

@@ -1,7 +1,13 @@
 """Operation registry: every public computation behind a uniform
-(params dict, output dir) -> files interface, shared by the CLI and the
-experiment harness.  Each entry carries a short anchor label naming the
-mathematical object it exercises, which the report command displays.
+(params dict, output dir) -> files interface, shared by the CLI, the
+experiment harness and the acceptance suite.  Each entry carries a short
+anchor label naming the mathematical object it exercises, which the report
+command displays.
+
+The registry is the one place an operation's parameters are declared: each
+name has a parser and a default, or is required.  `Operation.execute` binds
+the given values to the complete typed parameters and runs the operation,
+which reads `a[key]` and nothing else.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,14 +25,46 @@ from .files import write_csv, write_json
 from .model import ModelParams, RateFamily, derived_constants
 
 
+REQUIRED = object()  # the default of a parameter every run must give
+
+
 def _positive(v):
     if not (isinstance(v, (int, float)) and 0 < v < math.inf):
         raise ConfigurationError(f"expected a finite positive number, got {v!r}")
+    return float(v)
 
 
 def _nonneg(v):
     if not (isinstance(v, (int, float)) and 0 <= v < math.inf):
         raise ConfigurationError(f"expected a finite nonnegative number, got {v!r}")
+    return float(v)
+
+
+def _count(v):
+    if not (isinstance(v, int) and v >= 1):
+        raise ConfigurationError(f"expected a count >= 1, got {v!r}")
+    return v
+
+
+def _flag(v):
+    if not (isinstance(v, int) and v in (0, 1)):
+        raise ConfigurationError(f"expected 0 or 1, got {v!r}")
+    return bool(v)
+
+
+def _seed(v):
+    if not (isinstance(v, int) and 0 <= v < 2 ** 64):
+        raise ConfigurationError(f"expected an integer in [0, 2**64), got {v!r}")
+    return v
+
+
+def _floats(v):
+    """A list of numbers: comma-separated text, one number or a sequence."""
+    if isinstance(v, str):
+        v = [x for x in v.split(",") if x.strip()]
+    elif not isinstance(v, (list, tuple)):
+        v = [v]
+    return [float(x) for x in v]
 
 
 def _functional(v):
@@ -34,26 +72,7 @@ def _functional(v):
     times and thresholds, which no flag sets."""
     if v not in ("one", "x_indicator", "r_indicator"):
         raise ConfigurationError(f"expected one, x_indicator or r_indicator, got {v!r}")
-
-
-def _count(v):
-    if not (isinstance(v, int) and v >= 1):
-        raise ConfigurationError(f"expected a count >= 1, got {v!r}")
-
-
-def _flag(v):
-    if not (isinstance(v, int) and v in (0, 1)):
-        raise ConfigurationError(f"expected 0 or 1, got {v!r}")
-
-
-def _seed(v):
-    if not (isinstance(v, int) and 0 <= v < 2 ** 64):
-        raise ConfigurationError(f"expected an integer in [0, 2**64), got {v!r}")
-
-
-def _given(v):
-    """A positive number the operation has no default for: required."""
-    _positive(v)
+    return v
 
 
 def parse_value(text):
@@ -70,61 +89,78 @@ def parse_value(text):
     return text
 
 
+class Param(NamedTuple):
+    """One operation parameter.  `parse` turns a given value (text read by
+    `parse_value`, or a Python value) into the typed value the operation
+    reads, raising ValueError if it is not valid; `default` is written as
+    a user would give it and parsed the same way, or is REQUIRED."""
+
+    parse: Callable
+    default: object = REQUIRED
+
+
 @dataclass(frozen=True)
 class Operation:
     name: str
     anchor: str
-    parameters: dict
-    run: Callable
-    stochastic: bool = False
+    parameters: dict  # name -> Param
+    run: Callable     # (typed parameters, output dir) -> written file paths
+
+    @property
+    def stochastic(self) -> bool:
+        return "seed" in self.parameters
 
     def bind(self, raw: dict) -> dict:
-        """Parse and check the parameters of one run: every key must be
-        accepted, every required parameter (and, for a stochastic
-        operation, the seed) given, and every value pass its check, which
-        raises ValueError otherwise.  A deterministic operation takes no
-        seed.  Returns the parsed parameters; raises ConfigurationError."""
-        args = {k: parse_value(v) for k, v in raw.items()}
-        if "seed" in args and not self.stochastic:
+        """The complete typed parameters of one run: every key must be
+        accepted and every required one (the seed of a stochastic
+        operation included) given; each value, given or default, is
+        parsed by its Param.  A deterministic operation takes no seed.
+        Raises ConfigurationError."""
+        given = {k: parse_value(v) for k, v in raw.items()}
+        if "seed" in given and not self.stochastic:
             raise ConfigurationError(f"{self.name!r} is deterministic and takes no seed")
-        unknown = sorted(set(args) - set(self.parameters))
+        unknown = sorted(set(given) - set(self.parameters))
         if unknown:
             raise ConfigurationError(
                 f"parameter {unknown[0]!r} not accepted by {self.name!r} "
                 f"(accepts {sorted(self.parameters)})")
-        required = [k for k, check in self.parameters.items()
-                    if check is _given or (k == "seed" and self.stochastic)]
-        missing = [k for k in required if k not in args]
+        missing = [k for k, p in self.parameters.items()
+                   if p.default is REQUIRED and k not in given]
         if missing:
             raise ConfigurationError(f"{self.name!r} is missing {missing}")
-        for key, value in args.items():
+        bound = {}
+        for key, p in self.parameters.items():
             try:
-                self.parameters[key](value)
+                bound[key] = p.parse(given[key] if key in given else p.default)
             except ValueError as exc:
                 raise ConfigurationError(f"{key}: {exc}") from None
-        return args
+        return bound
+
+    def execute(self, raw: dict, out: Path) -> list:
+        """Bind `raw`, make the output directory and run: the one way in
+        for the CLI, the harness and the acceptance suite."""
+        args = self.bind(raw)
+        out.mkdir(parents=True, exist_ok=True)
+        return self.run(args, out)
 
 
-def _params_from(args, default_family="SinPow"):
-    return ModelParams(
-        alpha=float(args.get("alpha", 1.0)),
-        beta=float(args.get("beta", 1.0)),
-        rate_family=RateFamily(args.get("family", default_family)),
-    )
+def _model(a) -> ModelParams:
+    return ModelParams(alpha=a["alpha"], beta=a["beta"], rate_family=a["family"])
+
+
+def _grids(a) -> pde.PdeGrids:
+    return pde.PdeGrids(x_max=a["x_max"], dx=a["dx"], cfl_pot=a["cfl"])
 
 
 # -- deterministic operations -------------------------------------------------
 
-def _run_spectrum(args, out: Path):
-    sys_ = spectral.solve_spectrum(
-        float(args["alpha"]), int(args.get("n_max", 8)),
-        accuracy=float(args.get("accuracy", 1e-8)), q=float(args.get("q", 1.0)))
+def _run_spectrum(a, out: Path):
+    sys_ = spectral.solve_spectrum(a["alpha"], a["n_max"], accuracy=a["accuracy"], q=a["q"])
     return [sys_.export_csv(out / "eigensystem.csv"), sys_.export_json(out / "eigensystem.json")]
 
 
-def _run_weyl(args, out: Path):
-    sys_ = spectral.solve_spectrum(float(args["alpha"]), int(args.get("n_max", 41)),
-                                   accuracy=float(args.get("accuracy", 1e-6)))
+def _run_weyl(a, out: Path):
+    sys_ = spectral.solve_spectrum(a["alpha"], a["n_max"], accuracy=a["accuracy"])
     rep = spectral.weyl_check(sys_)
     payload = {
         "alpha": sys_.alpha,
@@ -137,19 +173,14 @@ def _run_weyl(args, out: Path):
     return [write_json(out / "weyl.json", payload)]
 
 
-def _run_pde(args, out: Path):
-    grids = pde.PdeGrids(x_max=float(args.get("x_max", 8.0)),
-                         dx=float(args.get("dx", 1.0 / 128.0)),
-                         cfl_pot=float(args.get("cfl", 0.02)))
-    g = pde.fundamental_solution_g(float(args.get("xi", 0.0)), float(args["t_end"]),
-                                   float(args["rho"]), float(args["alpha"]), grids)
+def _run_pde(a, out: Path):
+    g = pde.fundamental_solution_g(a["xi"], a["t_end"], a["rho"], a["alpha"], _grids(a))
     return [g.field.export_csv(out / "field.csv"), g.field.export_json(out / "field.json")]
 
 
-def _run_barriers(args, out: Path):
-    pair = pde.build_barriers(float(args["t_end"]), float(args["eps1"]),
-                              float(args["eps2"]), float(args["alpha"]))
-    t = np.linspace(0.0, pair.T, int(args.get("n_grid", 1001)))
+def _run_barriers(a, out: Path):
+    pair = pde.build_barriers(a["t_end"], a["eps1"], a["eps2"], a["alpha"])
+    t = np.linspace(0.0, pair.T, a["n_grid"])
     lo, hi = pair.sandwich_margins()
     payload = {
         "T": pair.T, "eps1": pair.eps1, "eps2": pair.eps2, "alpha": pair.alpha,
@@ -161,11 +192,9 @@ def _run_barriers(args, out: Path):
     return [write_json(out / "barriers.json", payload)]
 
 
-def _run_galerkin(args, out: Path):
-    sys_ = spectral.solve_spectrum(float(args["alpha"]),
-                                   int(args.get("n_modes", 12)) + 2,
-                                   accuracy=float(args.get("accuracy", 1e-7)))
-    d_mat, a_mat, defect = pde.galerkin_matrices(sys_, int(args.get("n_modes", 12)))
+def _run_galerkin(a, out: Path):
+    sys_ = spectral.solve_spectrum(a["alpha"], a["n_modes"] + 2, accuracy=a["accuracy"])
+    d_mat, a_mat, defect = pde.galerkin_matrices(sys_, a["n_modes"])
     payload = {
         "alpha": sys_.alpha,
         "gap_diagonal": np.diag(d_mat).tolist(),
@@ -175,52 +204,33 @@ def _run_galerkin(args, out: Path):
     return [write_json(out / "galerkin.json", payload)]
 
 
-def _run_kernel_g(args, out: Path):
-    val = pde.kernel_G_from_g(
-        float(args["s"]), float(args.get("x", 0.0)), float(args["t_end"]),
-        float(args.get("y", 0.0)), float(args.get("beta", 1.0)), float(args["alpha"]),
-        grids=pde.PdeGrids(x_max=float(args.get("x_max", 8.0)),
-                           dx=float(args.get("dx", 1.0 / 128.0)),
-                           cfl_pot=float(args.get("cfl", 0.02))))
-    payload = dict(args, value=val)
-    return [write_json(out / "kernel.json", payload)]
+def _run_kernel_g(a, out: Path):
+    val = pde.kernel_G_from_g(a["s"], a["x"], a["t_end"], a["y"], a["beta"], a["alpha"],
+                              grids=_grids(a))
+    return [write_json(out / "kernel.json", dict(a, value=val))]
 
 
 # -- stochastic operations ----------------------------------------------------
 
-def _run_mass(args, out: Path):
-    p = _params_from(args, default_family="PowClamp")
-    est = mc.estimate_total_mass(float(args["s"]), float(args["t_end"]),
-                                 float(args.get("x", 0.0)), p,
-                                 int(args.get("n", 100000)),
-                                 float(args.get("step", 0.1)), int(args["seed"]))
+def _run_mass(a, out: Path):
+    est = mc.estimate_total_mass(a["s"], a["t_end"], a["x"], _model(a), a["n"], a["step"],
+                                 a["seed"])
     return [write_json(out / "mass.json", est.to_json_dict(
-        s=args["s"], t=args["t_end"], x=args.get("x", 0.0), seed=args["seed"],
-        alpha=p.alpha, beta=p.beta))]
+        s=a["s"], t=a["t_end"], x=a["x"], seed=a["seed"], alpha=a["alpha"], beta=a["beta"]))]
 
 
-def _run_gtilde(args, out: Path):
-    p = _params_from(args, default_family="PowClamp")
-    est = mc.estimate_gtilde(float(args["s"]), float(args.get("x", 0.0)),
-                             float(args["t_end"]), float(args.get("y", 0.0)), p,
-                             int(args.get("n", 100000)),
-                             float(args.get("step", 0.04)), int(args["seed"]))
+def _run_gtilde(a, out: Path):
+    est = mc.estimate_gtilde(a["s"], a["x"], a["t_end"], a["y"], _model(a), a["n"],
+                             a["step"], a["seed"])
     return [write_json(out / "gtilde.json", est.to_json_dict(
-        s=args["s"], t=args["t_end"], x=args.get("x", 0.0), y=args.get("y", 0.0),
-        seed=args["seed"], alpha=p.alpha, beta=p.beta))]
+        s=a["s"], t=a["t_end"], x=a["x"], y=a["y"], seed=a["seed"],
+        alpha=a["alpha"], beta=a["beta"]))]
 
 
-def _parse_list(text):
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
-def _run_alpha2(args, out: Path):
-    rep = mc.alpha2_exponent_fit(float(args.get("beta", 1.0)),
-                                 _parse_list(args.get("s_list", "2,4,8,16")),
-                                 float(args.get("t_end", 512.0)),
-                                 int(args.get("n", 20000)),
-                                 float(args.get("step", 0.1)), int(args["seed"]))
-    rep["beta"] = float(args.get("beta", 1.0))
+def _run_alpha2(a, out: Path):
+    rep = mc.alpha2_exponent_fit(a["beta"], a["s_list"], a["t_end"], a["n"], a["step"],
+                                 a["seed"])
+    rep["beta"] = a["beta"]
     return [write_json(out / "alpha2_fit.json", rep)]
 
 
@@ -234,143 +244,137 @@ def _constants_or_none(p: ModelParams):
     return derived_constants(p, lam0)
 
 
-def _run_simulate(args, out: Path):
-    p = _params_from(args)
-    consts = _constants_or_none(p)
-    snaps = _parse_list(args.get("snapshots", args["t_end"]))
-    pop, stats = sim.run_continuous(p, float(args["t_end"]), int(args["seed"]),
-                                    snapshot_times=snaps,
-                                    cap=int(args.get("cap", sim.DEFAULT_CAP)),
-                                    consts=consts)
+def _run_simulate(a, out: Path):
+    p = _model(a)
+    pop, stats = sim.run_continuous(p, a["t_end"], a["seed"], snapshot_times=a["snapshots"],
+                                    cap=a["cap"], consts=_constants_or_none(p))
     return [pop.export_snapshots_csv(out / "snapshots.csv"),
             sim.export_stats_csv(out / "stats.csv", [(0, stats)]),
             pop.export_manifest_json(out / "run.json", p)]
 
 
-def _run_couple(args, out: Path):
-    alphas = _parse_list(args.get("alphas", "0.5,1,2,4"))
-    snaps = _parse_list(args.get("snapshots", args["t_end"]))
-    runs = sim.run_coupled(alphas, float(args["t_end"]), int(args["seed"]),
-                           snapshot_times=snaps,
-                           cap=int(args.get("cap", sim.DEFAULT_CAP)),
-                           include_homogeneous=bool(args.get("homogeneous", 0)))
+def _run_couple(a, out: Path):
+    runs = sim.run_coupled(a["alphas"], a["t_end"], a["seed"], snapshot_times=a["snapshots"],
+                           cap=a["cap"], include_homogeneous=a["homogeneous"])
     files = [pop.export_snapshots_csv(out / f"snapshots_alpha_{key.replace('.', 'p')}.csv")
              for key, (pop, _) in runs.items()]
     sizes = {key: pop.size for key, (pop, _) in runs.items()}
     return files + [write_json(out / "coupling.json", {
-        "alphas": alphas, "sizes": sizes, "chain": "verified",
-        "seed": args["seed"],
+        "alphas": a["alphas"], "sizes": sizes, "chain": "verified", "seed": a["seed"],
     })]
 
 
-def _run_discrete(args, out: Path):
-    p = _params_from(args)
-    pop, _ = sim.run_discrete(p, int(args.get("n_end", 100)), int(args["seed"]),
-                              cap=int(args.get("cap", sim.DEFAULT_CAP)))
+def _run_discrete(a, out: Path):
+    p = _model(a)
+    pop, _ = sim.run_discrete(p, a["n_end"], a["seed"], cap=a["cap"])
     return [write_csv(out / "lattice.csv", ["lineage_id", "x", "y"],
                       [sim.HexIds(pop.lid_hi, pop.lid_lo),
                        pop.x.astype(np.int64), pop.y.astype(np.int64)]),
             pop.export_manifest_json(out / "run.json", p)]
 
 
-def _functional_from(args, prefix=""):
-    kind = args.get(prefix + "functional", "one")
-    return sim.PathFunctional(kind, x0=float(args.get(prefix + "x0", 0.0)),
-                              r0=float(args.get(prefix + "r0", 0.0)))
-
-
-def _run_mto1(args, out: Path):
-    p = _params_from(args)
-    rep = sim.many_to_one_check(p, float(args["t_end"]), _functional_from(args),
-                                int(args.get("n_sim", 2000)),
-                                int(args.get("n_mc", 100000)), int(args["seed"]))
+def _run_mto1(a, out: Path):
+    f = sim.PathFunctional(a["functional"], x0=a["x0"], r0=a["r0"])
+    rep = sim.many_to_one_check(_model(a), a["t_end"], f, a["n_sim"], a["n_mc"], a["seed"])
     return [write_json(out / "many_to_one.json", rep)]
 
 
-def _run_mto2(args, out: Path):
-    p = _params_from(args)
-    rep = sim.many_to_two_check(p, float(args["t_end"]), _functional_from(args, "f_"),
-                                _functional_from(args, "g_"),
-                                int(args.get("n_sim", 4000)),
-                                int(args.get("n_mc", 50000)), int(args["seed"]))
+def _run_mto2(a, out: Path):
+    f = sim.PathFunctional(a["f_functional"], x0=a["f_x0"], r0=a["f_r0"])
+    g = sim.PathFunctional(a["g_functional"], x0=a["g_x0"], r0=a["g_r0"])
+    rep = sim.many_to_two_check(_model(a), a["t_end"], f, g, a["n_sim"], a["n_mc"], a["seed"])
     return [write_json(out / "many_to_two.json", rep)]
 
 
-def _run_porism(args, out: Path):
-    p = _params_from(args)
-    consts = _constants_or_none(p)
-    rep = sim.porism_probe(p, _parse_list(args.get("t_list", "8,12,16")),
-                           int(args.get("replicates", 200)), int(args["seed"]),
-                           consts=consts, eps=float(args.get("eps", 0.25)))
+def _run_porism(a, out: Path):
+    p = _model(a)
+    rep = sim.porism_probe(p, a["t_list"], a["replicates"], a["seed"],
+                           consts=_constants_or_none(p), eps=a["eps"], cap=a["cap"])
     rep["rows"] = {repr(k): v for k, v in rep["rows"].items()}
     return [write_json(out / "porism.json", rep)]
 
 
-REGISTRY = {
-    "spectrum": Operation(
-        "spectrum", "line-operator eigenpairs",
-        {"alpha": _given, "n_max": _count, "accuracy": _positive, "q": _positive},
-        _run_spectrum),
-    "weyl": Operation(
-        "weyl", "eigenvalue growth law",
-        {"alpha": _given, "n_max": _count, "accuracy": _positive}, _run_weyl),
-    "pde": Operation(
-        "pde", "killed-diffusion fundamental solution",
-        {"xi": float, "t_end": _given, "rho": _given, "alpha": _given,
-         "x_max": _positive, "dx": _positive, "cfl": _positive}, _run_pde),
-    "barriers": Operation(
-        "barriers", "sandwich coefficient pair",
-        {"t_end": _given, "eps1": _given, "eps2": _given,
-         "alpha": _given, "n_grid": _count}, _run_barriers),
-    "galerkin": Operation(
-        "galerkin", "eigenbasis gap and mixing matrices",
-        {"alpha": _given, "n_modes": _count, "accuracy": _positive}, _run_galerkin),
-    "kernel-g": Operation(
-        "kernel-g", "weighted kernel via rescaled fundamental solution",
-        {"s": _given, "x": float, "t_end": _given, "y": float,
-         "beta": _positive, "alpha": _given, "x_max": _positive,
-         "dx": _positive, "cfl": _positive}, _run_kernel_g),
-    "mass": Operation(
-        "mass", "weighted-path total mass",
-        {"s": _given, "t_end": _given, "x": float, "alpha": _positive,
-         "beta": _nonneg, "family": RateFamily, "n": _count, "step": _positive,
-         "seed": _seed}, _run_mass, stochastic=True),
-    "gtilde": Operation(
-        "gtilde", "bridge-conditioned weighted kernel",
-        {"s": _given, "x": float, "t_end": _given, "y": float,
-         "alpha": _positive, "beta": _nonneg, "family": RateFamily, "n": _count,
-         "step": _positive, "seed": _seed}, _run_gtilde, stochastic=True),
-    "alpha2": Operation(
-        "alpha2", "quadratic-angle decay exponent",
-        {"beta": _positive, "s_list": _parse_list, "t_end": _positive, "n": _count,
-         "step": _positive, "seed": _seed}, _run_alpha2, stochastic=True),
-    "simulate": Operation(
-        "simulate", "continuous branching diffusion",
-        {"alpha": _positive, "beta": _positive, "family": RateFamily,
-         "t_end": _given, "snapshots": _parse_list, "cap": _count, "seed": _seed},
-        _run_simulate, stochastic=True),
-    "couple": Operation(
-        "couple", "nested runs across the angular exponent",
-        {"alphas": _parse_list, "t_end": _given, "snapshots": _parse_list, "cap": _count,
-         "homogeneous": _flag, "seed": _seed}, _run_couple, stochastic=True),
-    "discrete": Operation(
-        "discrete", "lattice generation model",
-        {"alpha": _positive, "beta": _positive, "family": RateFamily, "n_end": _count,
-         "cap": _count, "seed": _seed}, _run_discrete, stochastic=True),
-    "mto1": Operation(
-        "mto1", "single-spine moment identity",
-        {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_end": _given,
-         "functional": _functional, "x0": float, "r0": float, "n_sim": _count,
-         "n_mc": _count, "seed": _seed}, _run_mto1, stochastic=True),
-    "mto2": Operation(
-        "mto2", "two-spine moment identity",
-        {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_end": _given,
-         "f_functional": _functional, "f_x0": float, "f_r0": float,
-         "g_functional": _functional, "g_x0": float, "g_r0": float,
-         "n_sim": _count, "n_mc": _count, "seed": _seed}, _run_mto2, stochastic=True),
-    "porism": Operation(
-        "porism", "extremal-particle localization probe",
-        {"alpha": _positive, "beta": _positive, "family": RateFamily, "t_list": _parse_list,
-         "replicates": _count, "eps": _positive, "cap": _count, "seed": _seed},
-        _run_porism, stochastic=True),
-}
+# Parameter groups shared by several operations.
+_MODEL = {"alpha": Param(_positive, 1.0), "beta": Param(_positive, 1.0),
+          "family": Param(RateFamily, "SinPow")}
+_GRIDS = {"x_max": Param(_positive, 8.0), "dx": Param(_positive, 1.0 / 128.0),
+          "cfl": Param(_positive, 0.02)}
+# mass and gtilde weight paths on the power-clamp family, and allow beta = 0
+_KERNEL_MODEL = {**_MODEL, "beta": Param(_nonneg, 1.0), "family": Param(RateFamily, "PowClamp")}
+
+
+def _functional_params(prefix=""):
+    return {prefix + "functional": Param(_functional, "one"),
+            prefix + "x0": Param(float, 0.0), prefix + "r0": Param(float, 0.0)}
+
+
+REGISTRY = {op.name: op for op in [
+    Operation("spectrum", "line-operator eigenpairs",
+              {"alpha": Param(_positive), "n_max": Param(_count, 8),
+               "accuracy": Param(_positive, 1e-8), "q": Param(_positive, 1.0)},
+              _run_spectrum),
+    Operation("weyl", "eigenvalue growth law",
+              {"alpha": Param(_positive), "n_max": Param(_count, 41),
+               "accuracy": Param(_positive, 1e-6)},
+              _run_weyl),
+    Operation("pde", "killed-diffusion fundamental solution",
+              {"xi": Param(float, 0.0), "t_end": Param(_positive), "rho": Param(_positive),
+               "alpha": Param(_positive), **_GRIDS},
+              _run_pde),
+    Operation("barriers", "sandwich coefficient pair",
+              {"t_end": Param(_positive), "eps1": Param(_positive), "eps2": Param(_positive),
+               "alpha": Param(_positive), "n_grid": Param(_count, 1001)},
+              _run_barriers),
+    Operation("galerkin", "eigenbasis gap and mixing matrices",
+              {"alpha": Param(_positive), "n_modes": Param(_count, 12),
+               "accuracy": Param(_positive, 1e-7)},
+              _run_galerkin),
+    Operation("kernel-g", "weighted kernel via rescaled fundamental solution",
+              {"s": Param(_positive), "x": Param(float, 0.0), "t_end": Param(_positive),
+               "y": Param(float, 0.0), "beta": Param(_positive, 1.0),
+               "alpha": Param(_positive), **_GRIDS},
+              _run_kernel_g),
+    Operation("mass", "weighted-path total mass",
+              {"s": Param(_positive), "t_end": Param(_positive), "x": Param(float, 0.0),
+               **_KERNEL_MODEL, "n": Param(_count, 100000), "step": Param(_positive, 0.1),
+               "seed": Param(_seed)},
+              _run_mass),
+    Operation("gtilde", "bridge-conditioned weighted kernel",
+              {"s": Param(_positive), "x": Param(float, 0.0), "t_end": Param(_positive),
+               "y": Param(float, 0.0), **_KERNEL_MODEL, "n": Param(_count, 100000),
+               "step": Param(_positive, 0.04), "seed": Param(_seed)},
+              _run_gtilde),
+    Operation("alpha2", "quadratic-angle decay exponent",
+              {"beta": Param(_positive, 1.0), "s_list": Param(_floats, "2,4,8,16"),
+               "t_end": Param(_positive, 512.0), "n": Param(_count, 20000),
+               "step": Param(_positive, 0.1), "seed": Param(_seed)},
+              _run_alpha2),
+    # t_end is always a snapshot of the continuous simulators
+    Operation("simulate", "continuous branching diffusion",
+              {**_MODEL, "t_end": Param(_positive), "snapshots": Param(_floats, ()),
+               "cap": Param(_count, sim.DEFAULT_CAP), "seed": Param(_seed)},
+              _run_simulate),
+    Operation("couple", "nested runs across the angular exponent",
+              {"alphas": Param(_floats, "0.5,1,2,4"), "t_end": Param(_positive),
+               "snapshots": Param(_floats, ()), "cap": Param(_count, sim.DEFAULT_CAP),
+               "homogeneous": Param(_flag, 0), "seed": Param(_seed)},
+              _run_couple),
+    Operation("discrete", "lattice generation model",
+              {**_MODEL, "n_end": Param(_count, 100), "cap": Param(_count, sim.DEFAULT_CAP),
+               "seed": Param(_seed)},
+              _run_discrete),
+    Operation("mto1", "single-spine moment identity",
+              {**_MODEL, "t_end": Param(_positive), **_functional_params(),
+               "n_sim": Param(_count, 2000), "n_mc": Param(_count, 100000), "seed": Param(_seed)},
+              _run_mto1),
+    Operation("mto2", "two-spine moment identity",
+              {**_MODEL, "t_end": Param(_positive), **_functional_params("f_"),
+               **_functional_params("g_"), "n_sim": Param(_count, 4000),
+               "n_mc": Param(_count, 50000), "seed": Param(_seed)},
+              _run_mto2),
+    Operation("porism", "extremal-particle localization probe",
+              {**_MODEL, "t_list": Param(_floats, "8,12,16"), "replicates": Param(_count, 200),
+               "eps": Param(_positive, 0.25), "cap": Param(_count, sim.DEFAULT_CAP),
+               "seed": Param(_seed)},
+              _run_porism),
+]}

@@ -32,14 +32,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from .errors import (
-    AccuracyError,
-    ConfigurationError,
-    DomainError,
-    ExtrapolationError,
-    NumericalFailure,
-    ResourceError,
-)
+from .errors import ConfigurationError, DomainError, NumericalFailure
 from .files import write_csv, write_json
 from .spectral import EigenSystem, _solve_tridiagonal, derivative, rescale_to_q
 
@@ -140,9 +133,10 @@ class BarrierPair:
     q_star: PiecewiseQ
     q_upper: PiecewiseQ
 
-    def sandwich_margins(self, n_points: int = 10_000):
-        """Max violations of the ordering q_* <= (1-t)^-a <= q^* on a grid."""
-        t = np.linspace(0.0, self.T, n_points)
+    def sandwich_margins(self):
+        """Max violations of the ordering q_* <= (1-t)^-a <= q^* on a
+        10,000-point grid."""
+        t = np.linspace(0.0, self.T, 10_000)
         target = (1.0 - t) ** (-self.alpha)
         star = self.q_star.value(t)
         upper = self.q_upper.value(t)
@@ -207,7 +201,6 @@ class PdeGrids:
     # phase of the dominant mode, which controls the time-integration bias
     cfl_pot: float = 0.005
     max_steps: int = 400_000
-    store_max: int = 200
     claimed_accuracy: float = 1e-3  # relative, validated by halving tests
 
 
@@ -275,16 +268,15 @@ def _time_steps(rho, T, q: PiecewiseQ, grids: PdeGrids):
         steps.append(dt)
         t += dt
         if len(steps) > grids.max_steps:
-            raise ResourceError(
+            raise NumericalFailure(
                 f"time grid exceeds {grids.max_steps} steps before reaching T={T} "
                 f"(reached t={t:.5f}); reduce T to about that value or raise the budget")
     return np.array(steps)
 
 
-def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi: float,
-                            n_nodes: int = 33):
+def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi: float):
     """Ground eigenvalue of the interior tridiagonal -Dxx + q V as a smooth
-    function of q: sampled on a geometric ladder, cubic spline in log q
+    function of q: sampled on a 33-node geometric ladder, cubic spline in log q
     (interpolation error ~1e-9, far below the h^2 scale it corrects).
     The returned function maps a sequence of q values to an array."""
     from scipy.interpolate import CubicSpline
@@ -304,7 +296,7 @@ def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi:
     if abs(q_hi - q_lo) < 1e-14:
         lam = ground(q_lo)
         return lambda qs: np.full(len(qs), lam)
-    qs = np.geomspace(q_lo, q_hi, n_nodes)
+    qs = np.geomspace(q_lo, q_hi, 33)
     lams = np.array([ground(qv) for qv in qs])
     spline = CubicSpline(np.log(qs), lams)
     # math.log, not np.log: the vectorized log may differ in the last bit
@@ -312,6 +304,7 @@ def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi:
 
 
 GAMMA_TRBDF2 = 2.0 - math.sqrt(2.0)
+STORED_SLICES = 200  # at most this many time slices after the initial one
 
 
 def _stage_coefficients(steps, q: PiecewiseQ, T: float, rho: float, shifts):
@@ -390,7 +383,7 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
     v_pot = np.zeros_like(x) if potential_off else np.abs(x) ** alpha
     steps = _time_steps(rho, T, q, grids)
     n_steps = len(steps)
-    stride = max(1, int(np.ceil(n_steps / grids.store_max)))
+    stride = max(1, int(np.ceil(n_steps / STORED_SLICES)))
     p_exp = 2.0 / (2.0 + alpha)
 
     # shifts(qs): the gauge shift at each q of a list, as an array
@@ -539,7 +532,7 @@ class FundamentalSolution:
         x = self.field.space_grid
         xq_arr = np.asarray(xq, dtype=float)
         if np.any(np.abs(xq_arr) > x[-1]):
-            raise ExtrapolationError(f"evaluation outside the grid [-{x[-1]}, {x[-1]}]")
+            raise DomainError(f"evaluation outside the grid [-{x[-1]}, {x[-1]}]")
         out = np.interp(xq_arr, x, self.field.final())
         return float(out) if np.isscalar(xq) else out
 
@@ -636,7 +629,7 @@ def galerkin_matrices(sys: EigenSystem, n_modes: int):
     a_mat = 0.5 * (raw - raw.T)
     defect = float(np.abs(0.5 * (raw + raw.T)).max())
     if defect > 1e-5:
-        raise AccuracyError(f"mixing-matrix quadrature defect {defect:.2e} > 1e-5")
+        raise NumericalFailure(f"mixing-matrix quadrature defect {defect:.2e} > 1e-5")
     return np.diag(d_diag), a_mat, defect
 
 
@@ -644,65 +637,38 @@ def galerkin_matrices(sys: EigenSystem, n_modes: int):
 class CoefficientPath:
     times: np.ndarray
     coefficients: np.ndarray  # shape (len(times), n_modes)
-    rho: float
-    alpha: float
-    q_label: str
-    lambdas: np.ndarray
     tail_ratio: float
-    mixing_defect: float
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.coefficients, axis=1)
 
-    def export_csv(self, path):
-        return write_csv(path, ["t"] + [f"c_{j}" for j in range(self.coefficients.shape[1])],
-                         [self.times, *self.coefficients.T])
-
-    def export_json(self, path):
-        return write_json(path, {
-            "rho": self.rho, "alpha": self.alpha, "q": self.q_label,
-            "n_modes": int(self.coefficients.shape[1]),
-            "lambdas": [float(v) for v in self.lambdas],
-            "tail_ratio": self.tail_ratio,
-            "mixing_defect": self.mixing_defect,
-        })
-
 
 def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
                         d_matrix: np.ndarray, a_matrix: np.ndarray,
-                        alpha: float, lambdas: np.ndarray | None = None,
-                        n_steps: int = 600, t_end: float | None = None,
-                        mixing_defect: float = 0.0) -> CoefficientPath:
-    """Exact-factor Strang evolution of c' = (-rho q^{2/(2+a)} D + (q'/q) A) c.
+                        alpha: float) -> CoefficientPath:
+    """Exact-factor Strang evolution of c' = (-rho q^{2/(2+a)} D + (q'/q) A) c
+    over the whole of q's interval.
 
     Per step [a,b]:  diagonal half with weight rho*int q^{2/(2+alpha)},
     orthogonal mixing expm(log(q(b)/q(a)) A), diagonal half.  Constant-q
-    pieces therefore evolve by the closed form with zero mixing.
+    pieces therefore evolve by the closed form with zero mixing; the other
+    pieces share 600 steps by length, at least 24 each.
     """
     c = np.asarray(c0, dtype=float).copy()
     n_modes = len(c)
     if d_matrix.shape[0] != n_modes or a_matrix.shape[0] != n_modes:
         raise ConfigurationError("coefficient count does not match matrices")
     d_diag = np.diag(d_matrix)
-    t_end = q.t1 if t_end is None else t_end
     p = 2.0 / (2.0 + alpha)
 
     # per-piece substeps: constant pieces are exact in one step
     grid = [q.t0]
-    nonconst_len = sum((min(p1, t_end) - p0) for p0, p1, kind, _ in q.pieces
-                      if kind != "const" and p0 < t_end)
+    nonconst_len = sum(p1 - p0 for p0, p1, kind, _ in q.pieces if kind != "const")
     for p0, p1, kind, _ in q.pieces:
-        hi = min(p1, t_end)
-        if hi <= p0:
+        if p1 <= p0:
             continue
-        if kind == "const":
-            sub = 2
-        else:
-            frac = (hi - p0) / nonconst_len if nonconst_len > 0 else 1.0
-            sub = max(24, int(math.ceil(n_steps * frac)))
-        grid.extend(np.linspace(p0, hi, sub + 1)[1:])
-        if hi >= t_end:
-            break
+        sub = 2 if kind == "const" else max(24, int(math.ceil(600 * ((p1 - p0) / nonconst_len))))
+        grid.extend(np.linspace(p0, p1, sub + 1)[1:])
     grid = np.array(grid)
 
     times = [grid[0]]
@@ -726,12 +692,7 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
     coeffs = np.array(path)
     norm_end = float(np.linalg.norm(coeffs[-1]))
     tail = abs(coeffs[-1, -1]) / norm_end if norm_end > 0 else 0.0
-    lam = lambdas if lambdas is not None else d_diag
-    return CoefficientPath(
-        times=np.array(times), coefficients=coeffs, rho=rho, alpha=alpha,
-        q_label=q.label, lambdas=np.asarray(lam), tail_ratio=float(tail),
-        mixing_defect=mixing_defect,
-    )
+    return CoefficientPath(times=np.array(times), coefficients=coeffs, tail_ratio=float(tail))
 
 
 def initial_coefficients(sys: EigenSystem, q0: float, xi: float, n_modes: int) -> np.ndarray:
@@ -773,10 +734,8 @@ def cross_validate_galerkin(sys: EigenSystem, rho: float, T: float, alpha: float
 
     for attempt in range(2):
         c0 = initial_coefficients(sys, qs.value(0.0), xi, n_modes)
-        dmat, amat, defect = galerkin_matrices(sys, n_modes)
-        cpath = evolve_coefficients(c0, qs, rho, dmat, amat, alpha,
-                                    lambdas=sys.eigenvalues[:n_modes],
-                                    mixing_defect=defect)
+        dmat, amat, _ = galerkin_matrices(sys, n_modes)
+        cpath = evolve_coefficients(c0, qs, rho, dmat, amat, alpha)
         if cpath.tail_ratio < 1e-6 or sys.n_levels < int(1.5 * n_modes):
             break
         n_modes = int(1.5 * n_modes)

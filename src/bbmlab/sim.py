@@ -154,21 +154,21 @@ def export_stats_csv(path, stats_by_replicate):
 class _Ledger:
     """Growable SoA state for the continuous-time simulation."""
 
-    def __init__(self, seed: int, t0: float = 0.0):
+    def __init__(self, seed: int):
         self.rng = CounterRNG(seed)
         hi, lo = ROOT_ID
         self.lid_hi = np.array([hi], dtype=np.uint64)
         self.lid_lo = np.array([lo], dtype=np.uint64)
         self.parent = np.array([-1], dtype=np.int64)
-        self.birth = np.array([t0])
+        self.birth = np.array([0.0])
         self.x = np.array([0.0])
         self.y = np.array([0.0])
-        self.t_mat = np.array([t0])
+        self.t_mat = np.array([0.0])
         self.ctr = np.zeros(1, dtype=np.uint64)
         self.prop_idx = np.zeros(1, dtype=np.uint64)
         wait = self.rng.exponential(self.rng.key(self.lid_hi, self.lid_lo), self.ctr)
         self.ctr += np.uint64(1)
-        self.t_prop = t0 + wait
+        self.t_prop = wait
 
     @property
     def size(self):
@@ -258,9 +258,10 @@ class _Ledger:
                 self.t_prop = np.concatenate([self.t_prop, tau[split] + cwait])
 
 
-def _slice_boundaries(snaps, n_sub=4):
-    """Sub-slice each inter-snapshot interval so a cap overrun loses little
-    work on rewind; snapshot times are always boundaries."""
+def _slice_boundaries(snaps):
+    """Sub-slice each inter-snapshot interval into quarters so a cap overrun
+    loses little work on rewind; snapshot times are always boundaries."""
+    n_sub = 4
     bounds = []
     prev = 0.0
     for t_b in snaps:
@@ -452,6 +453,11 @@ class PathFunctional:
     times: tuple = ()
     thresholds: tuple = ()
 
+    def __post_init__(self):
+        if len(self.times) != len(self.thresholds):
+            raise ConfigurationError(
+                f"{len(self.times)} cylinder times but {len(self.thresholds)} thresholds")
+
     def snapshot_times(self, t_end):
         return tuple(self.times) if self.kind == "x_cylinder" else ()
 
@@ -526,7 +532,7 @@ def _compare(sims, mc_mean, mc_se, n_mc):
 
 
 def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
-                      n_sim: int, n_mc: int, seed: int, dt_mc: float = 0.01) -> dict:
+                      n_sim: int, n_mc: int, seed: int) -> dict:
     """Simulator average of sum_u F(u) against the single-spine expectation
     E[F exp(int b)]; reports both sides with standard errors and a z-score."""
     if t > 3.0:
@@ -534,7 +540,7 @@ def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
     if n_sim < 1 or n_mc < 1:
         raise ConfigurationError(f"need n_sim >= 1 and n_mc >= 1, got {n_sim}, {n_mc}")
     # the spine side first: it rejects snapshot times off its grid
-    mc_mean, mc_se = _mc_spine_one(params, t, functional, n_mc, seed + 1, dt=dt_mc)
+    mc_mean, mc_se = _mc_spine_one(params, t, functional, n_mc, seed + 1)
     snap = functional.snapshot_times(t)
     sims = np.empty(n_sim)
     for rep in range(n_sim):
@@ -582,8 +588,7 @@ def _mc_spine_two(params, t_end, f_fun, g_fun, n_mc, seed, dt=0.01):
 
 
 def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
-                      g: PathFunctional, n_sim: int, n_mc: int, seed: int,
-                      dt_mc: float = 0.01) -> dict:
+                      g: PathFunctional, n_sim: int, n_mc: int, seed: int) -> dict:
     """Simulator average of sum_{u != v} F(u) G(v) against the two-spine
     integral with branch time r, weight 2 b(theta^1_r) exp(int_0^t b^1 +
     int_r^t b^2)."""
@@ -602,8 +607,7 @@ def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
         fv = f.on_paths(alive_x, alive_y, t)
         gv = g.on_paths(alive_x, alive_y, t)
         sims[rep] = fv.sum() * gv.sum() - (fv * gv).sum()
-    mc_mean, mc_se = _mc_spine_two(params, t, f.on_paths, g.on_paths, n_mc,
-                                   seed + 1, dt=dt_mc)
+    mc_mean, mc_se = _mc_spine_two(params, t, f.on_paths, g.on_paths, n_mc, seed + 1)
     return _compare(sims, mc_mean, mc_se, n_mc)
 
 

@@ -177,13 +177,13 @@ def _solve_tridiagonal(dl, d, du, b):
     return x
 
 
-def _refine_vector(d, e, lam, v, sweeps=2):
-    """Inverse-iteration sweeps to pull the eigenvector residual down to
+def _refine_vector(d, e, lam, v):
+    """Two inverse-iteration sweeps to pull the eigenvector residual down to
     the factorization floor (the LAPACK bisection vectors sit a couple of
     orders above it)."""
     shifted = d - (lam + 1e-10 * (1.0 + abs(lam)))
     cur = v
-    for _ in range(sweeps):
+    for _ in range(2):
         try:
             w = _solve_tridiagonal(e.copy(), shifted.copy(), e.copy(), cur.copy())
         except LinAlgError:
@@ -372,12 +372,12 @@ def residual_norms(sys: EigenSystem) -> np.ndarray:
     return out
 
 
-def fit_tail_constant(sys: EigenSystem, n_fit: int = 6) -> float:
+def fit_tail_constant(sys: EigenSystem) -> float:
     """Smallest C in a coarse ladder making the tail envelope
 
         |phi_n(x)| <= (n+1)^3 exp(-(x^{(2+alpha)/2} - C n)/(2+alpha))
 
-    hold for n < n_fit on the region x^{(2+alpha)/2} >= C n + 20.
+    hold for n < 6 on the region x^{(2+alpha)/2} >= C n + 20.
     The constant is an artifact of this module, not a known value.
     """
     p = (2.0 + sys.alpha) / 2.0
@@ -385,7 +385,7 @@ def fit_tail_constant(sys: EigenSystem, n_fit: int = 6) -> float:
     noise_floor = 1e-11  # eigenvector tails bottom out near 1e-13
     for c_try in np.arange(0.5, 30.0, 0.5):
         ok = True
-        for n in range(min(n_fit, sys.n_levels)):
+        for n in range(min(6, sys.n_levels)):
             bound = (n + 1) ** 3 * np.exp(-(xp - c_try * n) / (2.0 + sys.alpha))
             region = (xp >= c_try * n + 20.0) & (bound >= noise_floor)
             if not np.any(region):

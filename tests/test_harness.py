@@ -121,6 +121,18 @@ class TestCli:
         f2 = (out2 / "simulate" / "snapshots.csv").read_bytes()
         assert f1 == f2
 
+    def test_porism_cap_truncates(self, tmp_path):
+        # a cap of one particle stops a replicate at its first split, which
+        # at rate 1 comes before t = 8 in all but e^-8 of them
+        argv = ["porism", "--family", "Homogeneous", "--t-list", "4,8", "--replicates", "5",
+                "--seed", "9"]
+        for cap, out in (("1", tmp_path / "cap"), ("2000000", tmp_path / "free")):
+            assert main(argv + ["--cap", cap, "--out", str(out)]) == 0
+        capped = json.loads((tmp_path / "cap" / "porism" / "porism.json").read_text())
+        free = json.loads((tmp_path / "free" / "porism" / "porism.json").read_text())
+        assert capped["truncated"] == 5 and capped["rows"] == {}
+        assert free["truncated"] == 0 and len(free["rows"]) == 2
+
     def test_alpha_2_has_no_theta1(self, tmp_path):
         # kappa = 1 at alpha = 2: Z_t and the centering are left out, as for
         # the homogeneous family, instead of an inf - inf that passes silently
@@ -146,7 +158,7 @@ def _accepts(check, value):
 
 
 ZERO_REJECTED = [(name, key) for name, op in operations.REGISTRY.items()
-                 for key, check in op.parameters.items() if not _accepts(check, 0)]
+                 for key, param in op.parameters.items() if not _accepts(param.parse, 0)]
 
 
 class TestBoundary:
@@ -162,8 +174,8 @@ class TestBoundary:
     def test_zero_rejected(self, name, key, tmp_path, capsys):
         op = operations.REGISTRY[name]
         argv = [name, "--out", str(tmp_path), f"--{key.replace('_', '-')}", "0"]
-        for other, check in op.parameters.items():
-            if other != key and _accepts(check, 1):
+        for other, param in op.parameters.items():
+            if other != key and _accepts(param.parse, 1):
                 argv += [f"--{other.replace('_', '-')}", "1"]
         assert f"{key}:" in self._fails(argv, capsys)
         assert not any(tmp_path.iterdir())

@@ -9,6 +9,7 @@ from bbmlab.model import ModelParams, RateFamily, RateTable, derived_constants
 from bbmlab.sim import (
     PathFunctional,
     _chain_holds,
+    _mc_spine_one,
     _id_rows,
     derive_seed,
     export_stats_csv,
@@ -254,6 +255,14 @@ class TestManyToFew:
         fn = PathFunctional("x_cylinder", times=(0.305,), thresholds=(0.0,))
         with pytest.raises(ConfigurationError):
             many_to_one_check(ModelParams(alpha=1), 1.0, fn, 20, 2000, 3)
+
+    def test_cylinder_times_and_thresholds_pair_up(self):
+        # zip dropped the extra threshold: the spine mean came out as 1.52,
+        # that of exp(int b) with the threshold 100 ignored
+        with pytest.raises(ConfigurationError, match="1 cylinder times but 2 thresholds"):
+            _mc_spine_one(ModelParams(alpha=1), 1.0,
+                          PathFunctional("x_cylinder", times=(1.0,), thresholds=(-100.0, 100.0)),
+                          2000, 1, dt=0.1)
 
     def test_mto2_yule_second_factorial_moment(self):
         from oracles import yule_second_factorial
