@@ -301,6 +301,8 @@ def alpha2_exponent_fit(beta: float, s_list, t: float, n_samples: int, step: flo
 
     Expected slope: (sqrt(1 + 8 beta) - 1) / 4.
     """
+    if len(set(s_list)) < 2:
+        raise ConfigurationError(f"a slope needs at least two distinct s, got {list(s_list)}")
     if beta == 0.0:
         return {"slope": 0.0, "intercept": 0.0, "r2": 1.0, "points": []}
     vals, logs = [], []

@@ -93,17 +93,12 @@ class ModelParams:
     beta: float = 1.0
     rate_family: RateFamily = RateFamily.SIN_POW
     table: RateTable | None = None
-    validate_theorem_range: bool = False
 
     def __post_init__(self):
         if not (self.alpha > 0.0):
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
         if not (self.beta > 0.0):
             raise ConfigurationError(f"beta must be > 0, got {self.beta}")
-        if self.validate_theorem_range and not (2.0 / 3.0 < self.alpha < 2.0):
-            raise ConfigurationError(
-                f"alpha={self.alpha} outside the tightness regime (2/3, 2)"
-            )
         if self.rate_family is RateFamily.CUSTOM and self.table is None:
             raise ConfigurationError("Custom rate family requires a table")
 

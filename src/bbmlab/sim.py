@@ -13,6 +13,8 @@ All randomness is a pure function of (seed, lineage id, counter): each
 proposal consumes four fixed slots (dx, dy, accept-uniform, next wait) and
 each snapshot materialization two (dx, dy), so lineages shared by two runs
 with the same seed and snapshot grid see bit-identical paths and clocks.
+Every particle, the root included, is born through `_Ledger._born`, which
+mixes its lineage key once and keeps it, so a draw mixes only its counter.
 Acceptance u <= b_alpha(theta) is monotone in alpha for the sinusoidal
 family, hence the populations are nested across alpha.
 
@@ -23,7 +25,8 @@ neighbours or stays put, with probability 1/5 each.
 
 The many-to-one and many-to-two checks set populations against spine
 expectations, whose paths march through `mc._march` like every Monte Carlo
-path in bbmlab (two spines as spine 1 and a free planar path).
+path in bbmlab (two spines as spine 1 and a free planar path).  They and
+the porism probe run replicates through `_replicates`, which seeds them.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ class ExtremalStats:
     argmax_y: float       # Y of the radius-argmax particle
     z_t: float
     barrier_ok: bool
-    n_particles: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,27 +154,38 @@ def export_stats_csv(path, stats_by_replicate):
 
 
 class _Ledger:
-    """Growable SoA state for the continuous-time simulation."""
+    """Growable SoA state for the continuous-time simulation: one array per
+    column of COLUMNS, one entry per particle ever born.  key is the lineage
+    key rng.key(lid_hi, lid_lo), t_mat the time (x, y) was last materialized,
+    ctr the next counter slot and t_prop the time of the next proposal."""
+
+    COLUMNS = {"lid_hi": np.uint64, "lid_lo": np.uint64, "key": np.uint64,
+               "parent": np.int64, "birth": np.float64, "x": np.float64,
+               "y": np.float64, "t_mat": np.float64, "ctr": np.uint64,
+               "prop_idx": np.uint64, "t_prop": np.float64}
 
     def __init__(self, seed: int):
         self.rng = CounterRNG(seed)
-        hi, lo = ROOT_ID
-        self.lid_hi = np.array([hi], dtype=np.uint64)
-        self.lid_lo = np.array([lo], dtype=np.uint64)
-        self.parent = np.array([-1], dtype=np.int64)
-        self.birth = np.array([0.0])
-        self.x = np.array([0.0])
-        self.y = np.array([0.0])
-        self.t_mat = np.array([0.0])
-        self.ctr = np.zeros(1, dtype=np.uint64)
-        self.prop_idx = np.zeros(1, dtype=np.uint64)
-        wait = self.rng.exponential(self.rng.key(self.lid_hi, self.lid_lo), self.ctr)
-        self.ctr += np.uint64(1)
-        self.t_prop = wait
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, np.empty(0, dtype=dtype))
+        self._born([ROOT_ID[0]], [ROOT_ID[1]], [-1], [0.0], [0.0], [0.0])
 
     @property
     def size(self):
         return len(self.birth)
+
+    def _born(self, hi, lo, parent, birth, x, y):
+        """Append particles with ids (hi, lo), born at `birth` at (x, y): the
+        one way in, the root included.  Each lineage key is mixed here, once,
+        and the first proposal wait takes counter slot 0."""
+        key = self.rng.key(hi, lo)
+        new = {"lid_hi": hi, "lid_lo": lo, "key": key, "parent": parent, "birth": birth,
+               "x": x, "y": y, "t_mat": birth, "ctr": np.ones_like(key),
+               "prop_idx": np.zeros_like(key),
+               "t_prop": birth + self.rng.exponential(key, np.uint64(0))}
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, np.concatenate([getattr(self, name),
+                                                np.asarray(new[name], dtype=dtype)]))
 
     def _take(self, idx, n_slots):
         """Consume n_slots counter values for particles idx, returning the
@@ -191,15 +204,13 @@ class _Ledger:
         sub = idx[move]
         base = self._take(sub, 2)
         sd = np.sqrt(dt[move])
-        key = self.rng.key(self.lid_hi[sub], self.lid_lo[sub])
+        key = self.key[sub]
         self.x[sub] += sd * self.rng.normal(key, base)
         self.y[sub] += sd * self.rng.normal(key, base + np.uint64(1))
         self.t_mat[sub] = to_time
 
     def checkpoint(self):
-        return {k: getattr(self, k).copy() for k in
-                ("lid_hi", "lid_lo", "parent", "birth", "x", "y",
-                 "t_mat", "ctr", "prop_idx", "t_prop")}
+        return {name: getattr(self, name).copy() for name in self.COLUMNS}
 
     def restore(self, state):
         for k, v in state.items():
@@ -219,7 +230,7 @@ class _Ledger:
             dt = tau - self.t_mat[active]
             base = self._take(active, 4)
             sd = np.sqrt(np.maximum(dt, 0.0))
-            key = self.rng.key(self.lid_hi[active], self.lid_lo[active])
+            key = self.key[active]
             self.x[active] += sd * self.rng.normal(key, base)
             self.y[active] += sd * self.rng.normal(key, base + np.uint64(1))
             self.t_mat[active] = tau
@@ -242,20 +253,19 @@ class _Ledger:
                     return False
                 chi, clo = child_id(self.lid_hi[sel], self.lid_lo[sel],
                                     self.prop_idx[sel])
-                n_new = len(sel)
-                self.lid_hi = np.concatenate([self.lid_hi, chi])
-                self.lid_lo = np.concatenate([self.lid_lo, clo])
-                self.parent = np.concatenate([self.parent, sel.astype(np.int64)])
-                self.birth = np.concatenate([self.birth, tau[split]])
-                self.x = np.concatenate([self.x, self.x[sel]])
-                self.y = np.concatenate([self.y, self.y[sel]])
-                self.t_mat = np.concatenate([self.t_mat, tau[split]])
-                self.prop_idx = np.concatenate([self.prop_idx,
-                                                np.zeros(n_new, dtype=np.uint64)])
-                cwait = self.rng.exponential(self.rng.key(chi, clo), np.uint64(0))
-                self.ctr = np.concatenate([self.ctr,
-                                           np.ones(n_new, dtype=np.uint64)])
-                self.t_prop = np.concatenate([self.t_prop, tau[split] + cwait])
+                self._born(chi, clo, sel, tau[split], self.x[sel], self.y[sel])
+
+
+def _snapshot_grid(snapshot_times, t_end):
+    """The sorted snapshot times with t_end added; DomainError unless t_end
+    is finite and positive and every time lies in (0, t_end]."""
+    if not 0 < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and positive, got {t_end}")
+    times = [float(s) for s in snapshot_times]
+    off = [s for s in times if not 0 < s <= t_end]
+    if off:
+        raise DomainError(f"snapshot times must lie in (0, t_end = {t_end:g}], got {off[0]:g}")
+    return sorted(set(times) | {float(t_end)})
 
 
 def _slice_boundaries(snaps):
@@ -281,19 +291,15 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
                    spawn_children: bool = True):
     """Exact thinning simulation; returns (Population, [ExtremalStats]).
 
-    Snapshot times are materialization boundaries shared by coupled runs;
-    t_end is always a snapshot.  If the cap would be exceeded the run halts
-    at the last completed slice boundary and the population is flagged
-    truncated, exact at that earlier time (no culling: removing particles
-    would bias the extremes).
+    Snapshot times lie in (0, t_end] and are materialization boundaries
+    shared by coupled runs; t_end is always a snapshot.  If the cap would be
+    exceeded the run halts at the last completed slice boundary and the
+    population is flagged truncated, exact at that earlier time (no culling:
+    removing particles would bias the extremes).
     """
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
+    snaps = _snapshot_grid(snapshot_times, t_end)
     if cap < 1:
         raise DomainError("cap must be at least 1")
-    snaps = sorted(set(float(s) for s in snapshot_times) | {float(t_end)})
-    if snaps[0] <= 0:
-        raise DomainError("snapshot times must be positive")
     led = _Ledger(seed)
     split_log: list = []
     stats: list[ExtremalStats] = []
@@ -324,6 +330,13 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
     return pop, stats
 
 
+def _replicates(params: ModelParams, t_end: float, seed: int, n: int, **kw):
+    """The runs of replicates 0..n-1, replicate rep seeded with
+    derive_seed(seed, rep): the one replicate loop of the module."""
+    for rep in range(n):
+        yield run_continuous(params, t_end, derive_seed(seed, rep), **kw)
+
+
 def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
                 snapshot_times: Sequence[float] = (),
                 cap: int = DEFAULT_CAP, beta: float = 1.0,
@@ -339,21 +352,17 @@ def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
     alphas = list(alphas)
     if sorted(alphas) != alphas:
         raise ConfigurationError("alphas must be sorted ascending")
-    members: list[tuple[str, ModelParams]] = []
-    for a in alphas:
-        if math.isinf(a):
-            members.append(("inf", ModelParams(alpha=1.0, beta=beta,
-                                               rate_family=RateFamily.HOMOGENEOUS)))
-        else:
-            members.append((repr(a), ModelParams(alpha=a, beta=beta,
-                                                 rate_family=RateFamily.SIN_POW)))
+    envelope = ModelParams(alpha=1.0, beta=beta, rate_family=RateFamily.HOMOGENEOUS)
+    members = [("inf", envelope) if math.isinf(a) else
+               (repr(a), ModelParams(alpha=a, beta=beta, rate_family=RateFamily.SIN_POW))
+               for a in alphas]
     if include_homogeneous and not any(k == "inf" for k, _ in members):
-        members.append(("inf", ModelParams(alpha=1.0, beta=beta,
-                                           rate_family=RateFamily.HOMOGENEOUS)))
-    runs = {key: run_continuous(p, t_end, seed, snapshot_times=snapshot_times, cap=cap)
+        members.append(("inf", envelope))
+    if not members:
+        raise ConfigurationError("a coupled run needs at least one member")
+    snaps = _snapshot_grid(snapshot_times, t_end)
+    runs = {key: run_continuous(p, t_end, seed, snapshot_times=snaps, cap=cap)
             for key, p in members}
-
-    snaps = sorted(set(float(s) for s in snapshot_times) | {float(t_end)})
     pops = [runs[key][0] for key, _ in members]
     for t_b in snaps:
         alive = [p.birth <= t_b for p in pops]
@@ -541,12 +550,8 @@ def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
         raise ConfigurationError(f"need n_sim >= 1 and n_mc >= 1, got {n_sim}, {n_mc}")
     # the spine side first: it rejects snapshot times off its grid
     mc_mean, mc_se = _mc_spine_one(params, t, functional, n_mc, seed + 1)
-    snap = functional.snapshot_times(t)
-    sims = np.empty(n_sim)
-    for rep in range(n_sim):
-        pop, _ = run_continuous(params, t, derive_seed(seed, rep),
-                                snapshot_times=snap)
-        sims[rep] = functional.on_population(pop, t)
+    sims = np.array([functional.on_population(pop, t) for pop, _ in _replicates(
+        params, t, seed, n_sim, snapshot_times=functional.snapshot_times(t))])
     return _compare(sims, mc_mean, mc_se, n_mc)
 
 
@@ -600,8 +605,7 @@ def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
         if fn.kind == "x_cylinder":
             raise ConfigurationError("cylinder functionals unsupported in the pair check")
     sims = np.empty(n_sim)
-    for rep in range(n_sim):
-        pop, _ = run_continuous(params, t, derive_seed(seed, rep))
+    for rep, (pop, _) in enumerate(_replicates(params, t, seed, n_sim)):
         n_alive, xs, ys = pop.snapshots[t]
         alive_x, alive_y = {t: xs[:n_alive]}, {t: ys[:n_alive]}
         fv = f.on_paths(alive_x, alive_y, t)
@@ -620,21 +624,20 @@ def porism_probe(params: ModelParams, t_list: Sequence[float], replicates: int,
 
     One run per replicate provides every probe time via snapshots.
     """
+    if not t_list:
+        raise ConfigurationError("the porism probe needs at least one time")
     t_list = sorted(float(t) for t in t_list)
     t_end = t_list[-1]
     kappa = params.kappa() if params.rate_family is not RateFamily.HOMOGENEOUS else 1.0
     rows = {t: {"y_scaled": [], "gap": [], "exceed": 0, "m_minus_center": []}
             for t in t_list}
     truncated = 0
-    for rep in range(replicates):
-        pop, stats = run_continuous(params, t_end, derive_seed(seed, rep),
-                                    snapshot_times=t_list, cap=cap, consts=consts)
+    for pop, stats in _replicates(params, t_end, seed, replicates,
+                                  snapshot_times=t_list, cap=cap, consts=consts):
         if pop.truncated:
             truncated += 1
             continue
         for st in stats:
-            if st.t not in rows:
-                continue
             row = rows[st.t]
             row["y_scaled"].append(abs(st.argmax_y) / st.t ** (kappa / 2.0))
             row["gap"].append(st.m_t - st.max_x)
@@ -683,5 +686,4 @@ def _extremal_stats(t_b, led, consts, barrier_ok):
     return ExtremalStats(
         t=float(t_b), m_t=float(r[imax]), max_x=float(led.x.max()),
         argmax_y=float(led.y[imax]), z_t=z_t, barrier_ok=bool(barrier_ok),
-        n_particles=led.size,
     )

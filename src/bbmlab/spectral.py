@@ -51,7 +51,7 @@ class EigenSystem:
     x_max: float
     # eigenvalues of the discrete operator on `grid` (pre-extrapolation);
     # these pair with the stored eigenvectors in residual checks
-    discrete_eigenvalues: np.ndarray | None = None
+    discrete_eigenvalues: np.ndarray
 
     @property
     def n_levels(self) -> int:
@@ -317,8 +317,7 @@ def rescale_to_q(sys: EigenSystem, q: float) -> EigenSystem:
         eigenvalues=sys.eigenvalues * lam_scale,
         eigenfunctions=sys.eigenfunctions * amp,
         x_max=sys.x_max / s,
-        discrete_eigenvalues=None if sys.discrete_eigenvalues is None
-        else sys.discrete_eigenvalues * lam_scale,
+        discrete_eigenvalues=sys.discrete_eigenvalues * lam_scale,
     )
 
 
@@ -360,7 +359,7 @@ def residual_norms(sys: EigenSystem) -> np.ndarray:
     O(h^2) correction a residual would pick up).
     """
     h = sys.h_grid
-    lam = sys.discrete_eigenvalues if sys.discrete_eigenvalues is not None else sys.eigenvalues
+    lam = sys.discrete_eigenvalues
     out = np.empty(sys.n_levels)
     v = sys.q * sys.grid ** sys.alpha
     for n in range(sys.n_levels):

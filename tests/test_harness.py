@@ -198,6 +198,24 @@ class TestBoundary:
         self._fails(argv, capsys)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-end", "1", "--snapshots", "2"],
+        ["simulate", "--t-end", "1", "--snapshots", "nan"],
+        ["couple", "--alphas", "1,2", "--t-end", "1", "--snapshots", "3"],
+        ["porism", "--t-list", "inf", "--replicates", "1"],
+        ["porism", "--t-list", ","],
+        ["alpha2", "--s-list", ","],
+        ["alpha2", "--s-list", "4"],
+        ["couple", "--alphas", ",", "--t-end", "1"],
+    ], ids=["snapshot-beyond-t_end", "snapshot-nan", "couple-snapshot-beyond-t_end",
+            "t_list-inf", "t_list-empty", "s_list-empty", "s_list-one", "alphas-empty"])
+    def test_bad_grid_or_list(self, argv, tmp_path, capsys):
+        """Snapshot grids and list parameters are checked by the function that
+        needs them, before any simulation: one line, and no result file."""
+        err = self._fails(argv + ["--seed", "1", "--out", str(tmp_path)], capsys)
+        assert len(err.splitlines()) == 1
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
     @pytest.mark.parametrize("text", [
         "garbage",
         CFG.replace("seed = 1", "seed = abc"),

@@ -181,6 +181,11 @@ class TestAlpha2Fit:
     def test_beta_zero(self):
         assert alpha2_exponent_fit(0.0, [2.0, 4.0], 64.0, 1000, 0.1, seed=1)["slope"] == 0.0
 
+    @pytest.mark.parametrize("s_list", [[], [4.0], [4.0, 4.0]])
+    def test_needs_two_distinct_s(self, s_list):
+        with pytest.raises(ConfigurationError):
+            alpha2_exponent_fit(1.0, s_list, 64.0, 1000, 0.1, seed=1)
+
     def test_beta_one_slope_half(self):
         rep = alpha2_exponent_fit(1.0, [2.0, 4.0, 8.0, 16.0], 512.0, 20000, 0.1, seed=99)
         assert rep["slope"] == pytest.approx(0.5, abs=0.05)

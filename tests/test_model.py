@@ -104,11 +104,6 @@ class TestConstants:
             k = ModelParams(alpha=a).kappa()
             assert 0.5 < k < 1.0 if 2 / 3 < a < 2 else True
 
-    def test_theorem_range_flag(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(alpha=2.5, validate_theorem_range=True)
-        ModelParams(alpha=1.0, validate_theorem_range=True)
-
     def test_theta2(self):
         c = DerivedConstants(1.0, 1.0, LAMBDA0_A1)
         assert c.theta2 == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)

@@ -4,10 +4,12 @@ The sha256 digests below pin the CSV bytes of small `simulate`, `couple` and
 `discrete` runs.  They were taken before the per-particle loops of `sim`
 (hex ids, CSV rows, the lattice child index, the chain check) and the
 per-draw lineage mixing of `rng` became array operations, which must leave
-every byte and every random stream as it was.  Recorded with numpy 2.4 and
-scipy 1.17 on x86-64; a platform whose libm rounds `log`, `arctan2` or
-`ndtri` differently in the last bit may need them re-taken from a tree that
-predates the change.
+every byte and every random stream as it was.  The JSON files of those runs
+and of small `mto1`, `mto2` and `porism` runs were pinned before the ledger
+kept each lineage key as a column and the replicate loops became one.
+Recorded with numpy 2.4 and scipy 1.17 on x86-64; a platform whose libm
+rounds `log`, `arctan2` or `ndtri` differently in the last bit may need them
+re-taken from a tree that predates the change.
 """
 
 import hashlib
@@ -37,6 +39,11 @@ PINNED_RUNS = [
     ["couple", "--alphas", "0.5,1,2", "--t-end", "4", "--snapshots", "2,4", "--seed", "5",
      "--homogeneous", "1"],
     ["discrete", "--alpha", "1", "--n-end", "12", "--seed", "3"],
+    ["mto1", "--alpha", "1.5", "--t-end", "1", "--functional", "x_indicator", "--x0", "0.5",
+     "--n-sim", "40", "--n-mc", "2000", "--seed", "3"],
+    ["mto2", "--alpha", "1", "--t-end", "1", "--f-functional", "r_indicator", "--f-r0", "0.5",
+     "--n-sim", "40", "--n-mc", "2000", "--seed", "4"],
+    ["porism", "--alpha", "1", "--t-list", "2,3", "--replicates", "6", "--seed", "9"],
 ]
 PINNED_SHA256 = {
     "simulate/snapshots.csv": "0f247bd5022bf7fe76196c1597f848d92c92e3d00be7a42a2918b0a18329bb5b",
@@ -46,15 +53,35 @@ PINNED_SHA256 = {
     "couple/snapshots_alpha_2p0.csv": "5bf171c94aa14401dcd2ec74567693c07d540bcfcd9bf12989619d5014af62dc",
     "couple/snapshots_alpha_inf.csv": "de44114ac4778c5d0f66c6c9781dd836aa02ca5f987c0390ee6ee5768cea1cdd",
     "discrete/lattice.csv": "4326f528a2d7f49cd99d5299c92aa4d6d8949cb2d1deaa7d11fbcd64e31d4417",
+    "simulate/run.json": "731e6e453d48a38586d9033cfa041b34496e18807e5f47fe699f32c7b441c6ee",
+    "couple/coupling.json": "b7b2ec4b5310ef772dd91e0c06964e18cb1397e182e6864d56d5a7622f49fc58",
+    "discrete/run.json": "c1167991bb725258e9b3b5cf6bb10a1e1e658bd7d588fd07e0e12734aa313b0a",
+    "mto1/many_to_one.json": "fac6fb2a0fb1919b6078492096e34616df8ae93d6b6014804a94dbb2300e9bae",
+    "mto2/many_to_two.json": "64aafb095840a92c34c0df3ad928ab13a51f6fa40d8d3f3a5e13dd8c322733d2",
+    "porism/porism.json": "5ca191bc1fc49c20ba8615b613507e575ceac0a2cac643409b47730bca019b93",
 }
 
 
-def test_pinned_csv_bytes(tmp_path):
+@pytest.fixture(scope="module")
+def pinned_digests(tmp_path_factory):
+    """sha256 of every file the pinned runs write, by path under the output root."""
+    out = tmp_path_factory.mktemp("pinned")
     for argv in PINNED_RUNS:
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-    written = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.rglob("*.csv")}
-    assert written == PINNED_SHA256
+        assert main(argv + ["--out", str(out)]) == 0
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*") if p.is_file()}
+
+
+def _of_kind(digests, suffix):
+    return {k: v for k, v in digests.items() if k.endswith(suffix)}
+
+
+def test_pinned_csv_bytes(pinned_digests):
+    assert _of_kind(pinned_digests, ".csv") == _of_kind(PINNED_SHA256, ".csv")
+
+
+def test_pinned_json_bytes(pinned_digests):
+    assert _of_kind(pinned_digests, ".json") == _of_kind(PINNED_SHA256, ".json")
 
 
 def _hex_ids(pop):

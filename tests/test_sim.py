@@ -6,11 +6,14 @@ import scipy.stats as st
 
 from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.model import ModelParams, RateFamily, RateTable, derived_constants
+from bbmlab.rng import CounterRNG
 from bbmlab.sim import (
     PathFunctional,
     _chain_holds,
-    _mc_spine_one,
     _id_rows,
+    _Ledger,
+    _mc_spine_one,
+    _replicates,
     derive_seed,
     export_stats_csv,
     many_to_one_check,
@@ -128,6 +131,42 @@ class TestContinuous:
         with pytest.raises(DomainError):
             run_continuous(P_SIN, 2.0, 3, cap=0)
 
+    @pytest.mark.parametrize("t_end, snaps", [
+        (math.inf, ()), (math.nan, ()), (0.0, ()), (1.0, [2.0]), (1.0, [math.nan]),
+        (1.0, [math.inf]), (1.0, [0.0]), (1.0, [-0.5]), (1.0, [0.5, 1.0 + 1e-12]),
+    ])
+    def test_snapshot_grid_checked(self, t_end, snaps):
+        with pytest.raises(DomainError):
+            run_continuous(P_SIN, t_end, 3, snapshot_times=snaps)
+
+    def test_snapshot_at_t_end_and_repeats(self):
+        _, stats = run_continuous(P_SIN, 2.0, 3, snapshot_times=[2.0, 1.0, 1.0])
+        assert [s.t for s in stats] == [1.0, 2.0]
+
+    def test_key_column_is_the_lineage_key(self):
+        led = _Ledger(5)
+        assert led.drain_until(4.0, P_HOM, 10 ** 6, False, [])
+        assert led.size > 10
+        assert np.array_equal(led.key, CounterRNG(5).key(led.lid_hi, led.lid_lo))
+        assert set(_Ledger.COLUMNS) == {k for k, v in vars(led).items()
+                                        if isinstance(v, np.ndarray)}
+
+    def test_cap_overrun_restores_every_column(self):
+        led = _Ledger(5)
+        assert led.drain_until(2.0, P_HOM, 10 ** 6, False, [])
+        before = led.checkpoint()
+        assert not led.drain_until(6.0, P_HOM, led.size + 1, False, [])
+        for name, dtype in _Ledger.COLUMNS.items():
+            col = getattr(led, name)
+            assert col.dtype == dtype and np.array_equal(col, before[name]), name
+
+    def test_replicates_seed_each_run(self):
+        runs = list(_replicates(P_SIN, 2.0, 9, 3, snapshot_times=[1.0]))
+        for rep, (pop, stats) in enumerate(runs):
+            alone, alone_stats = run_continuous(P_SIN, 2.0, derive_seed(9, rep),
+                                                snapshot_times=[1.0])
+            assert np.array_equal(pop.x, alone.x) and stats == alone_stats
+
 
 class TestCoupled:
     def test_subset_chain_and_sizes(self):
@@ -150,6 +189,13 @@ class TestCoupled:
     def test_unsorted_rejected(self):
         with pytest.raises(ConfigurationError):
             run_coupled([2.0, 1.0], 4.0, 3)
+
+    def test_members_and_grid_checked(self):
+        with pytest.raises(ConfigurationError):
+            run_coupled([], 4.0, 3)
+        assert list(run_coupled([], 1.0, 3, include_homogeneous=True)) == ["inf"]
+        with pytest.raises(DomainError):
+            run_coupled([1.0, 2.0], 1.0, 3, snapshot_times=[3.0])
 
 
 class TestDiscrete:
@@ -305,6 +351,13 @@ class TestManyToFew:
 
 
 class TestPorism:
+    def test_times_checked(self):
+        with pytest.raises(ConfigurationError):
+            porism_probe(P_SIN, [], 1, seed=1)
+        for t_list in ([math.inf], [2.0, math.nan]):
+            with pytest.raises(DomainError):
+                porism_probe(P_SIN, t_list, 1, seed=1)
+
     def test_homogeneous_control_no_decay(self):
         rep = porism_probe(P_HOM, [4.0, 8.0], 100, seed=7)
         # rotational symmetry: scaled |Y| stays order sqrt(t); reported only

@@ -2,10 +2,13 @@
 
 Every Gaussian path column in the package is drawn by `mc._march`, and every
 Philox stream is keyed by `mc._chunks`, so a random stream has one place to
-change and one place to pin (tests/test_mc_stream.py).  Every operation runs
-through `Operation.execute`, and its parameters are parsed and defaulted by
-the registry alone.  These tests read the source with `ast` and fail on a
-draw, a stream, a run or a parameter default made anywhere else.
+change and one place to pin (tests/test_mc_stream.py).  In `sim` a lineage
+key is mixed only where a particle is born, and replicates run through one
+loop that derives their seeds.  Every operation runs through
+`Operation.execute`, and its parameters are parsed and defaulted by the
+registry alone.  These tests read the source with `ast` and fail on a draw,
+a stream, a key, a replicate seed, a run or a parameter default made
+anywhere else.
 """
 
 import ast
@@ -44,6 +47,23 @@ def test_one_site(attr, home):
     sites = _calls(attr)
     assert sites, f"no call to {attr} found"
     assert set(sites) == {home}, f"{attr} called outside {'.'.join(home)}: {sites}"
+
+
+def test_lineage_keys_mixed_at_birth():
+    """The ledger's one birth path and the lattice generations are the only
+    places in the package that mix a lineage key."""
+    assert set(_calls("key")) == {("sim", "_born"), ("sim", "run_discrete")}
+
+
+@pytest.mark.parametrize("attr, homes", [
+    ("derive_seed", {"_replicates"}),
+    ("run_continuous", {"_replicates", "run_coupled"}),
+])
+def test_one_replicate_loop(attr, homes):
+    """Inside `sim`, one loop derives every replicate seed and runs the
+    replicates; `run_coupled` runs its members on one seed."""
+    sites = {where for module, where in _calls(attr) if module == "sim"}
+    assert sites == homes, f"{attr} called in sim outside {sorted(homes)}: {sorted(sites)}"
 
 
 def test_operations_run_through_execute():
