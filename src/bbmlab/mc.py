@@ -24,7 +24,11 @@ the same seed share every path (making pathwise-monotone comparisons exact).
 Every path, the spines of `sim` included, comes from one column marcher,
 `_march`, forward or bridge, for 1-D or stacked (planar, two-spine) states.
 Path integrals use the trapezoidal rule on the sampled skeleton, with
-midpoint evaluation on steps where a 1-D path crosses zero.
+midpoint evaluation on steps where a 1-D path crosses zero.  The skeletons
+are uniform in r with at most `step` between columns, except in the alpha = 2
+exponent fit: its weight is scale-invariant, so it marches a geometric grid,
+uniform in u = log r with du <= step / 5, and takes the trapezoidal rule in u
+of the smooth integrand B_r^2 / r.
 """
 
 from __future__ import annotations
@@ -136,11 +140,20 @@ def _chunked_mean(seed, n, sample, key_offset=0, chunk=CHUNK):
     return mean, np.sqrt(var / n), n
 
 
-def _weight_grid(s, t, step):
+def _intervals(length, step):
+    """Number of grid intervals of at most `step` over `length`, at least two."""
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"step must be positive and finite, got {step}")
-    m = max(2, int(math.ceil((t - s) / step)))
-    return np.linspace(s, t, m + 1)
+    return max(2, int(math.ceil(length / step)))
+
+
+def _weight_grid(s, t, step):
+    return np.linspace(s, t, _intervals(t - s, step) + 1)
+
+
+def _log_time_grid(s, t, step):
+    """Geometric grid from s to t, uniform in u = log r with du <= step / 5."""
+    return np.geomspace(s, t, _intervals(5.0 * math.log(t / s), step) + 1)
 
 
 def _march(rng, r_grid, start, end=None):
@@ -210,12 +223,14 @@ def _kernel_weight(alpha, f=None):
     return lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha * (1.0 + f(y, r))
 
 
-def _validate(s, t, n_samples, step):
+def _validate(s, t, n_samples, step=None):
+    """Domain and sample count; a uniform-grid step, when given, must be at
+    most min(1, s)/10."""
     if not (0.0 < s < t):
         raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
     if n_samples < 100:
         raise ConfigurationError("need at least 100 samples")
-    if step > min(1.0, s) / 10.0:
+    if step is not None and step > min(1.0, s) / 10.0:
         raise DomainError(f"step {step} too coarse; need <= min(1, s)/10")
 
 
@@ -294,10 +309,30 @@ def localization_probe(s: float, t: float, x: float, y: float, eta_exponent: flo
     return {"ratio": ratio, "weight_total": w_all, "weight_exit": w_exit, "n_samples": count}
 
 
+def _quadratic_angle(rng, r_grid, size):
+    """int_s^t (B_r/r)^2 dr along `size` paths with B_s = 0, marched on the
+    geometric r_grid from s to t.  With r = e^u the integrand is B_r^2 / r
+    (dr = r du), integrated by the trapezoid rule in u; its value at u = 0
+    is zero, so the rule is du (sum of all columns - last / 2)."""
+    du = math.log(r_grid[-1] / r_grid[0]) / (len(r_grid) - 1)
+    total = np.zeros(size)
+    for j, col in _march(rng, r_grid, np.zeros(size)):
+        last = col * col / r_grid[j]
+        total += last
+    return du * (total - 0.5 * last)
+
+
 def alpha2_exponent_fit(beta: float, s_list, t: float, n_samples: int, step: float,
                         seed: int) -> dict:
     """Fit the decay exponent of E[exp(-beta int_s^t (B_r/r)^2 dr)] against
     log(s/t); the weight here uses y/r directly (no sqrt-2 normalization).
+
+    The weight is scale-invariant: X_u = B_r / sqrt(r) with r = e^u is an
+    Ornstein-Uhlenbeck process, so each s is marched on a geometric grid,
+    uniform in u = log r with du <= step / 5 (at least two steps), and the
+    forward steps of `_march` are exact on it.  At step 0.1 (du = 0.02) the
+    quadrature bias of each log-mean stays below a tenth of its Monte Carlo
+    standard error at the acceptance run's 30,000 samples (CHANGES.md).
 
     Expected slope: (sqrt(1 + 8 beta) - 1) / 4.
     """
@@ -306,12 +341,10 @@ def alpha2_exponent_fit(beta: float, s_list, t: float, n_samples: int, step: flo
     if beta == 0.0:
         return {"slope": 0.0, "intercept": 0.0, "r2": 1.0, "points": []}
     vals, logs = [], []
-    weight = lambda yv, r: (yv / r) ** 2
     for idx, s in enumerate(sorted(s_list)):
-        eff_step = min(step, min(1.0, s) / 10.0)
-        _validate(s, t, n_samples, eff_step)
-        r_grid = _weight_grid(s, t, eff_step)
-        sample = _weighted_paths(r_grid, beta, weight, 0.0)
+        _validate(s, t, n_samples)
+        r_grid = _log_time_grid(s, t, step)
+        sample = lambda rng, size: np.exp(-beta * _quadratic_angle(rng, r_grid, size))
         vals.append(_chunked_mean(seed + idx, n_samples, sample)[0])
         logs.append(math.log(s / t))
     logs = np.array(logs)

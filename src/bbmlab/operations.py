@@ -246,6 +246,7 @@ def _constants_or_none(p: ModelParams):
 
 def _run_simulate(a, out: Path):
     p = _model(a)
+    sim.snapshot_grid(a["snapshots"], a["t_end"])  # a rejected grid pays for no solve
     pop, stats = sim.run_continuous(p, a["t_end"], a["seed"], snapshot_times=a["snapshots"],
                                     cap=a["cap"], consts=_constants_or_none(p))
     return [pop.export_snapshots_csv(out / "snapshots.csv"),
@@ -288,6 +289,7 @@ def _run_mto2(a, out: Path):
 
 def _run_porism(a, out: Path):
     p = _model(a)
+    sim.probe_times(a["t_list"])  # rejected times pay for no solve
     rep = sim.porism_probe(p, a["t_list"], a["replicates"], a["seed"],
                            consts=_constants_or_none(p), eps=a["eps"], cap=a["cap"])
     rep["rows"] = {repr(k): v for k, v in rep["rows"].items()}

@@ -256,7 +256,7 @@ class _Ledger:
                 self._born(chi, clo, sel, tau[split], self.x[sel], self.y[sel])
 
 
-def _snapshot_grid(snapshot_times, t_end):
+def snapshot_grid(snapshot_times, t_end):
     """The sorted snapshot times with t_end added; DomainError unless t_end
     is finite and positive and every time lies in (0, t_end]."""
     if not 0 < t_end < math.inf:
@@ -266,6 +266,17 @@ def _snapshot_grid(snapshot_times, t_end):
     if off:
         raise DomainError(f"snapshot times must lie in (0, t_end = {t_end:g}], got {off[0]:g}")
     return sorted(set(times) | {float(t_end)})
+
+
+def probe_times(t_list):
+    """The sorted probe times of `porism_probe`, the last one its t_end;
+    ConfigurationError if there are none, DomainError unless they form a
+    snapshot grid."""
+    if not t_list:
+        raise ConfigurationError("the porism probe needs at least one time")
+    t_list = sorted(float(t) for t in t_list)
+    snapshot_grid(t_list, t_list[-1])
+    return t_list
 
 
 def _slice_boundaries(snaps):
@@ -297,7 +308,7 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
     population is flagged truncated, exact at that earlier time (no culling:
     removing particles would bias the extremes).
     """
-    snaps = _snapshot_grid(snapshot_times, t_end)
+    snaps = snapshot_grid(snapshot_times, t_end)
     if cap < 1:
         raise DomainError("cap must be at least 1")
     led = _Ledger(seed)
@@ -360,7 +371,7 @@ def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
         members.append(("inf", envelope))
     if not members:
         raise ConfigurationError("a coupled run needs at least one member")
-    snaps = _snapshot_grid(snapshot_times, t_end)
+    snaps = snapshot_grid(snapshot_times, t_end)
     runs = {key: run_continuous(p, t_end, seed, snapshot_times=snaps, cap=cap)
             for key, p in members}
     pops = [runs[key][0] for key, _ in members]
@@ -624,9 +635,7 @@ def porism_probe(params: ModelParams, t_list: Sequence[float], replicates: int,
 
     One run per replicate provides every probe time via snapshots.
     """
-    if not t_list:
-        raise ConfigurationError("the porism probe needs at least one time")
-    t_list = sorted(float(t) for t in t_list)
+    t_list = probe_times(t_list)
     t_end = t_list[-1]
     kappa = params.kappa() if params.rate_family is not RateFamily.HOMOGENEOUS else 1.0
     rows = {t: {"y_scaled": [], "gap": [], "exceed": 0, "m_minus_center": []}

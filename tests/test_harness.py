@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from bbmlab import operations
+from bbmlab import operations, spectral
 from bbmlab.cli import main
 from bbmlab.errors import ConfigurationError
 from bbmlab.harness import report, run_experiment, spec_from_config
@@ -215,6 +215,22 @@ class TestBoundary:
         err = self._fails(argv + ["--seed", "1", "--out", str(tmp_path)], capsys)
         assert len(err.splitlines()) == 1
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-end", "1", "--snapshots", "2"],
+        ["porism", "--t-list", ","],
+        ["porism", "--t-list", "inf", "--replicates", "1"],
+    ], ids=["snapshot-beyond-t_end", "t_list-empty", "t_list-inf"])
+    def test_bad_grid_rejected_before_spectral_solve(self, argv, tmp_path, monkeypatch,
+                                                     capsys):
+        """simulate and porism solve the spectrum for Z_t; a grid or time list
+        they reject must fail before that solve is reached."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("spectral solve reached on rejected input")
+
+        monkeypatch.setattr(spectral, "solve_spectrum", unreachable)
+        err = self._fails(argv + ["--seed", "1", "--out", str(tmp_path)], capsys)
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("text", [
         "garbage",

@@ -7,8 +7,11 @@ from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.mc import (
     ErrorEnvelope,
     _chunked_mean,
+    _log_time_grid,
     _monotone_on_grid,
+    _quadratic_angle,
     _weight_grid,
+    _weighted_paths,
     alpha2_exponent_fit,
     bessel_density,
     bridge_barrier_mc,
@@ -190,6 +193,31 @@ class TestAlpha2Fit:
         rep = alpha2_exponent_fit(1.0, [2.0, 4.0, 8.0, 16.0], 512.0, 20000, 0.1, seed=99)
         assert rep["slope"] == pytest.approx(0.5, abs=0.05)
         assert rep["r2"] > 0.99
+
+    @pytest.mark.parametrize("s, t", [(2.0, 512.0), (16.0, 64.0), (0.3, 1.0)])
+    def test_log_time_integral_unbiased(self, s, t):
+        """E int_s^t (B_r/r)^2 dr = int_s^t (r - s)/r^2 dr for B_s = 0; a
+        dropped or doubled Jacobian r in the log-time rule misses it."""
+        grid = _log_time_grid(s, t, 0.1)
+        mean, stderr, _ = _chunked_mean(3, 20_000, lambda rng, size: _quadratic_angle(
+            rng, grid, size))
+        assert abs(mean - (math.log(t / s) - 1.0 + s / t)) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    def test_log_time_matches_r_grid(self, beta):
+        """Each point of the fit against the uniform r-grid route it replaced
+        (the trapezoidal rule in r of (y/r)^2, zero-crossing midpoints
+        included), at reduced samples: within 3 combined standard errors."""
+        s_list, t, n = [2.0, 4.0, 8.0, 16.0], 512.0, 4_000
+        rep = alpha2_exponent_fit(beta, s_list, t, n, 0.1, seed=21)
+        for idx, s in enumerate(s_list):
+            grid = _log_time_grid(s, t, 0.1)
+            log_time = _chunked_mean(21 + idx, n, lambda rng, size: np.exp(
+                -beta * _quadratic_angle(rng, grid, size)))
+            assert math.log(log_time[0]) == pytest.approx(rep["points"][idx][1], rel=1e-12)
+            r_grid = _chunked_mean(31 + idx, n, _weighted_paths(
+                _weight_grid(s, t, 0.1), beta, lambda y, r: (y / r) ** 2, 0.0))
+            assert abs(log_time[0] - r_grid[0]) <= 3.0 * math.hypot(log_time[1], r_grid[1])
 
 
 class TestBridgeBarrier:
