@@ -23,12 +23,21 @@ offset 0; the two-spine check in `sim` uses chunks of 10,000 and key offset
 the same seed share every path (making pathwise-monotone comparisons exact).
 Every path, the spines of `sim` included, comes from one column marcher,
 `_march`, forward or bridge, for 1-D or stacked (planar, two-spine) states.
-Path integrals use the trapezoidal rule on the sampled skeleton, with
-midpoint evaluation on steps where a 1-D path crosses zero.  The skeletons
-are uniform in r with at most `step` between columns, except in the alpha = 2
-exponent fit: its weight is scale-invariant, so it marches a geometric grid,
-uniform in u = log r with du <= step / 5, and takes the trapezoidal rule in u
-of the smooth integrand B_r^2 / r.
+Path integrals use the trapezoidal rule on the sampled skeleton.  Where the
+weight has a kink at y = 0 (alpha < 2, or an envelope), a step on which a
+1-D path crosses zero takes the weight at the step's midpoint instead; the
+bare weight at alpha >= 2 takes the plain rule.  The skeletons are uniform in
+r with at most `step` between columns, except in the alpha = 2 exponent fit:
+its weight is scale-invariant, so it marches a geometric grid, uniform in
+u = log r with du <= step / 5, and takes the trapezoidal rule in u of the
+smooth integrand B_r^2 / r.
+
+Terms that change the result on few paths are evaluated only on those
+paths, gathered per column with `np.flatnonzero`: the zero-crossing
+midpoints, and the barrier estimate's crossing correction, which underflows
+to exactly 0 unless the geometric mean of a step's two distances below the
+barrier is under 20 sqrt(dr).  Every estimate equals the dense per-column
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -170,45 +179,50 @@ def _march(rng, r_grid, start, end=None):
     for j in range(m):
         dr = r_grid[j + 1] - r_grid[j]
         if end is None:
-            cur = cur + math.sqrt(dr) * rng.standard_normal(cur.shape)
+            nxt = rng.standard_normal(cur.shape)
+            nxt *= math.sqrt(dr)
+            nxt += cur
         elif j == m - 1:
-            cur = np.full_like(cur, end)
+            nxt = np.full_like(cur, end)
         else:
             remain = r_grid[-1] - r_grid[j]
-            mean = cur + (end - cur) * (dr / remain)
-            var = dr * (remain - dr) / remain
-            cur = mean + math.sqrt(var) * rng.standard_normal(cur.shape)
+            nxt = rng.standard_normal(cur.shape)
+            nxt *= math.sqrt(dr * (remain - dr) / remain)
+            nxt += cur + (end - cur) * (dr / remain)
+        cur = nxt
         yield j + 1, cur
 
 
 class _Trapezoid:
     """Trapezoidal integral of weight(column, r) over the columns of a
-    skeleton, added in order; memory stays O(n paths).  On 1-D states a step
-    that crosses zero takes the midpoint value instead (|y|^alpha kink).
-    `add` returns the weight of the column it was given."""
+    skeleton, added in order; memory stays O(n paths).  With `midpoints`
+    (1-D states only) a step whose ends straddle zero takes the midpoint
+    value instead, for the kink of |y|^alpha at y = 0.  `add` returns the
+    weight of the column it was given."""
 
-    def __init__(self, r_grid, weight):
-        self.r, self.weight, self.total = r_grid, weight, 0.0
+    def __init__(self, r_grid, weight, midpoints=False):
+        self.r, self.weight, self.midpoints, self.total = r_grid, weight, midpoints, 0.0
 
     def add(self, j, col):
         w = self.weight(col, self.r[j])
         if j:
             dr = self.r[j] - self.r[j - 1]
             trap = 0.5 * (self.w_prev + w)
-            if col.ndim == 1:
-                crossing = self.prev * col < 0.0
-                if np.any(crossing):
-                    mid = self.weight(0.5 * (self.prev + col), self.r[j - 1] + 0.5 * dr)
-                    trap = np.where(crossing, mid, trap)
+            if self.midpoints:
+                cross = np.flatnonzero(self.prev * col < 0.0)
+                if cross.size:
+                    trap[cross] = self.weight(0.5 * (self.prev[cross] + col[cross]),
+                                              self.r[j - 1] + 0.5 * dr)
             self.total += dr * trap
         self.prev, self.w_prev = col, w
         return w
 
 
-def _weighted_paths(r_grid, beta, weight, x, end=None):
-    """sample(rng, size) -> exp(-beta int weight) along paths started at x."""
+def _weighted_paths(r_grid, beta, kernel, x, end=None):
+    """sample(rng, size) -> exp(-beta int weight) along paths started at x,
+    for kernel = (weight, midpoints) from `_kernel_weight`."""
     def sample(rng, size):
-        integral = _Trapezoid(r_grid, weight)
+        integral = _Trapezoid(r_grid, *kernel)
         for j, col in _march(rng, r_grid, np.full(size, float(x)), end):
             integral.add(j, col)
         return np.exp(-beta * integral.total)
@@ -216,11 +230,15 @@ def _weighted_paths(r_grid, beta, weight, x, end=None):
 
 
 def _kernel_weight(alpha, f=None):
-    """|y/(sqrt2 r)|^alpha, times (1 + f(y, r)) when f is given."""
+    """(weight, midpoints): the weight |y/(sqrt2 r)|^alpha, times
+    (1 + f(y, r)) when f is given, and whether its trapezoid takes
+    zero-crossing midpoints.  They serve the kink at y = 0 of alpha < 2 and
+    of the envelopes; the bare weight at alpha >= 2 is C^2 there and takes
+    the plain rule."""
     sqrt2 = math.sqrt(2.0)
     if f is None:
-        return lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha
-    return lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha * (1.0 + f(y, r))
+        return lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha, alpha < 2.0
+    return lambda y, r: np.abs(y / (sqrt2 * r)) ** alpha * (1.0 + f(y, r)), True
 
 
 def _validate(s, t, n_samples, step=None):
@@ -249,8 +267,8 @@ def estimate_total_mass(s: float, t: float, x: float, params, n_samples: int,
     if beta == 0.0:
         return KernelEstimate(1.0, 0.0, n_samples, step)
     r_grid = _weight_grid(s, t, step)
-    weight = _kernel_weight(alpha, _branch_fn(envelope, branch))
-    mean, stderr, count = _chunked_mean(seed, n_samples, _weighted_paths(r_grid, beta, weight, x))
+    kernel = _kernel_weight(alpha, _branch_fn(envelope, branch))
+    mean, stderr, count = _chunked_mean(seed, n_samples, _weighted_paths(r_grid, beta, kernel, x))
     return KernelEstimate(mean, stderr, count, float(r_grid[1] - r_grid[0]))
 
 
@@ -275,9 +293,9 @@ def estimate_gtilde(s: float, x: float, t: float, y: float, params, n_samples: i
     if beta == 0.0:
         return KernelEstimate(pref, 0.0, n_samples, step)
     r_grid = _weight_grid(s, t, step)
-    weight = _kernel_weight(alpha, _branch_fn(envelope, branch))
+    kernel = _kernel_weight(alpha, _branch_fn(envelope, branch))
     mean, stderr, count = _chunked_mean(seed, n_samples,
-                                        _weighted_paths(r_grid, beta, weight, x, y))
+                                        _weighted_paths(r_grid, beta, kernel, x, y))
     return KernelEstimate(pref * mean, pref * stderr, count, float(r_grid[1] - r_grid[0]))
 
 
@@ -293,10 +311,10 @@ def localization_probe(s: float, t: float, x: float, y: float, eta_exponent: flo
     expo = (kappa + eta_exponent) / 2.0
     r_grid = _weight_grid(s, t, step)
     tube = r_grid ** expo
-    weight = _kernel_weight(alpha)
+    kernel = _kernel_weight(alpha)
 
     def sample(rng, size):
-        integral = _Trapezoid(r_grid, weight)
+        integral = _Trapezoid(r_grid, *kernel)
         exits = np.zeros(size, dtype=bool)
         for j, col in _march(rng, r_grid, np.full(size, float(x)), y):
             integral.add(j, col)
@@ -376,7 +394,12 @@ def bridge_barrier_mc(s: float, x: float, t: float, y: float, K: float,
 
     The skeleton indicator alone is biased low by O(sqrt step); each
     sub-interval is therefore completed with the exact conditional
-    crossing probability given its endpoints, which removes the bias.
+    crossing probability exp(-2ab/dr) given its endpoints' distances a and
+    b below K, which removes the bias.  A path that reaches K counts 1.
+    On the others the probability is taken only where a b < 400 dr: beyond
+    it 2ab/dr exceeds 745.2 and the exponential underflows to exactly 0, so
+    the skipped steps would add -0.0 to the log survival probability, and
+    the estimate equals the dense evaluation bit for bit.
     """
     if x >= K or y >= K:
         raise DomainError("endpoints must lie below the barrier")
@@ -387,19 +410,20 @@ def bridge_barrier_mc(s: float, x: float, t: float, y: float, K: float,
     r_grid = _weight_grid(s, t, step)
 
     def sample(rng, size):
-        hit = np.zeros(size, dtype=bool)
+        clear = np.ones(size, dtype=bool)  # below K at every column so far
         log_stay = np.zeros(size)
         for j, col in _march(rng, r_grid, np.full(size, float(x)), y):
-            hit |= col >= K
+            b = K - col
+            clear &= b > 0.0
             if j:
-                # conditional crossing probability inside the sub-interval
-                a = np.clip(K - prev, 0.0, None)
-                b = np.clip(K - col, 0.0, None)
+                # crossing probability exp(-2ab/dr) inside the sub-interval,
+                # on the clear paths where it does not underflow to 0
                 dr = r_grid[j] - r_grid[j - 1]
-                p_cross = np.clip(np.exp(-2.0 * a * b / dr), 0.0, 1.0 - 1e-16)
-                log_stay += np.where((a > 0) & (b > 0), np.log1p(-p_cross), 0.0)
-            prev = col
-        return np.where(hit, 1.0, 1.0 - np.exp(log_stay))
+                near = np.flatnonzero(clear & (a * b < 400.0 * dr))
+                p_cross = np.clip(np.exp(-2.0 * a[near] * b[near] / dr), 0.0, 1.0 - 1e-16)
+                log_stay[near] += np.log1p(-p_cross)
+            a = b
+        return np.where(clear, 1.0 - np.exp(log_stay), 1.0)
 
     mean, stderr, count = _chunked_mean(seed, n_samples, sample)
     return KernelEstimate(mean, stderr, count, r_grid[1] - r_grid[0])

@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.mc import (
     ErrorEnvelope,
+    _branch_fn,
     _chunked_mean,
+    _chunks,
     _log_time_grid,
     _monotone_on_grid,
     _quadratic_angle,
+    _Trapezoid,
+    _kernel_weight,
+    _march,
     _weight_grid,
-    _weighted_paths,
     alpha2_exponent_fit,
     bessel_density,
     bridge_barrier_mc,
@@ -27,6 +33,78 @@ from bbmlab.model import ModelParams, RateFamily
 from test_mc_stream import marched_paths
 
 P11 = ModelParams(alpha=1.0, beta=1.0, rate_family=RateFamily.POW_CLAMP)
+
+
+# The dense per-column code that the gathered kernels replaced, kept as it
+# was: the marcher, the trapezoid with its zero-crossing midpoints taken over
+# all paths through np.where, and the barrier sample.  The package's kernels
+# must equal them bit for bit.
+
+def dense_march(rng, r_grid, start, end=None):
+    m = len(r_grid) - 1
+    cur = start
+    yield 0, cur
+    for j in range(m):
+        dr = r_grid[j + 1] - r_grid[j]
+        if end is None:
+            cur = cur + math.sqrt(dr) * rng.standard_normal(cur.shape)
+        elif j == m - 1:
+            cur = np.full_like(cur, end)
+        else:
+            remain = r_grid[-1] - r_grid[j]
+            mean = cur + (end - cur) * (dr / remain)
+            var = dr * (remain - dr) / remain
+            cur = mean + math.sqrt(var) * rng.standard_normal(cur.shape)
+        yield j + 1, cur
+
+
+class DenseTrapezoid:
+    def __init__(self, r_grid, weight):
+        self.r, self.weight, self.total = r_grid, weight, 0.0
+
+    def add(self, j, col):
+        w = self.weight(col, self.r[j])
+        if j:
+            dr = self.r[j] - self.r[j - 1]
+            trap = 0.5 * (self.w_prev + w)
+            crossing = self.prev * col < 0.0
+            if np.any(crossing):
+                mid = self.weight(0.5 * (self.prev + col), self.r[j - 1] + 0.5 * dr)
+                trap = np.where(crossing, mid, trap)
+            self.total += dr * trap
+        self.prev, self.w_prev = col, w
+
+
+def dense_barrier_sample(r_grid, x, y, K):
+    def sample(rng, size):
+        hit = np.zeros(size, dtype=bool)
+        log_stay = np.zeros(size)
+        for j, col in dense_march(rng, r_grid, np.full(size, float(x)), y):
+            hit |= col >= K
+            if j:
+                a = np.clip(K - prev, 0.0, None)
+                b = np.clip(K - col, 0.0, None)
+                dr = r_grid[j] - r_grid[j - 1]
+                p_cross = np.clip(np.exp(-2.0 * a * b / dr), 0.0, 1.0 - 1e-16)
+                log_stay += np.where((a > 0) & (b > 0), np.log1p(-p_cross), 0.0)
+            prev = col
+        return np.where(hit, 1.0, 1.0 - np.exp(log_stay))
+    return sample
+
+
+def first_chunk_rng(seed):
+    return next(_chunks(seed, 1))[0]
+
+
+# distances of a bridge endpoint below the barrier, within 1e-3 of it or not
+GAP = st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 3.0))
+
+
+def assert_barrier_as_dense(x, t, y, K, step, seed, n=200):
+    est = bridge_barrier_mc(0.0, x, t, y, K, n, step, seed)
+    mean, stderr, _ = _chunked_mean(seed, n, dense_barrier_sample(_weight_grid(0.0, t, step),
+                                                                   x, y, K))
+    assert (est.value, est.stderr) == (mean, stderr)
 
 
 class TestEnvelope:
@@ -73,6 +151,19 @@ class TestMarch:
         _, a = marched_paths(9, 500, 1.0, 3.0, 0.0, 0.2)
         _, b = marched_paths(9, 500, 1.0, 3.0, 0.0, 0.2)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("start, end", [
+        (np.full(500, 0.3), None), (np.zeros((2, 500)), None), (np.full(500, 0.3), -0.7)])
+    def test_columns_fresh_and_as_dense(self, start, end):
+        """Forward 1-D, forward planar and bridge columns equal the dense
+        marcher's, and consecutive columns never share memory (consumers keep
+        them)."""
+        grid = _weight_grid(1.0, 2.0, 0.1)
+        cols = [col for _, col in _march(first_chunk_rng(9), grid, start, end)]
+        ref = [col for _, col in dense_march(first_chunk_rng(9), grid, start, end)]
+        assert len(cols) == len(ref) == len(grid)
+        assert all(np.array_equal(c, r) for c, r in zip(cols, ref))
+        assert not any(np.shares_memory(p, c) for p, c in zip(cols, cols[1:]))
 
 
 class TestTotalMass:
@@ -130,10 +221,52 @@ class TestTotalMass:
                                     envelope=env, branch="minus")
         assert plus.value <= zero.value <= minus.value
 
+    def test_alpha2_closed_form(self):
+        """At alpha = 2 and x = 0, log E = T/4 - log(cosh gT + sinh gT/(2g))/2
+        with T = log(t/s) and g = sqrt(1/4 + beta), since B_r/sqrt(r) is an
+        Ornstein-Uhlenbeck process in log r.  The smooth weight takes the
+        plain trapezoid; zero-crossing midpoints read high here (z near 12
+        at a million samples)."""
+        s, t, beta = 1.0, 8.0, 3.0
+        est = estimate_total_mass(s, t, 0.0, ModelParams(alpha=2.0, beta=beta), 200_000, 0.1,
+                                  seed=42)
+        T, g = math.log(t / s), math.sqrt(0.25 + beta)
+        exact = T / 4.0 - 0.5 * math.log(math.cosh(g * T) + math.sinh(g * T) / (2.0 * g))
+        assert abs(math.log(est.value) - exact) <= 3.0 * est.stderr / est.value
+
     def test_step_halving_consistency(self):
         a = estimate_total_mass(16.0, 64.0, 0.0, P11, 20000, 0.1, seed=5)
         b = estimate_total_mass(16.0, 64.0, 0.0, P11, 20000, 0.05, seed=5)
         assert abs(a.value - b.value) < 2.0 * (a.stderr + b.stderr)
+
+
+class TestGatheredMidpoints:
+    @pytest.mark.parametrize("alpha, branch, midpoints", [
+        (0.5, "zero", True), (1.5, "zero", True), (2.0, "zero", False), (3.0, "zero", False),
+        (2.0, "plus", True), (3.0, "minus", True)])
+    def test_midpoints_only_at_a_kink(self, alpha, branch, midpoints):
+        env = make_envelope(1.0, 1.0, 1.0, alpha)
+        assert _kernel_weight(alpha, _branch_fn(env, branch))[1] is midpoints
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("branch", ["zero", "plus", "minus"])
+    @pytest.mark.parametrize("end", [None, -0.2])
+    def test_as_dense_where_rule(self, alpha, branch, end):
+        """Midpoints taken on the crossing paths only equal the dense
+        np.where rule bit for bit, forward and bridge, with and without an
+        envelope."""
+        weight, midpoints = _kernel_weight(alpha, _branch_fn(make_envelope(
+            1.0, 1.0, 1.0, alpha), branch))
+        grid = _weight_grid(1.0, 2.0, 0.02)
+        gathered, dense = _Trapezoid(grid, weight, midpoints), DenseTrapezoid(grid, weight)
+        crossings = 0
+        for j, col in _march(first_chunk_rng(5), grid, np.full(2_000, 0.1), end):
+            if j:
+                crossings += int(np.sum(gathered.prev * col < 0.0))
+            gathered.add(j, col)
+            dense.add(j, col)
+        assert crossings > 1_000
+        assert np.array_equal(gathered.total, dense.total)
 
 
 class TestGtilde:
@@ -203,22 +336,6 @@ class TestAlpha2Fit:
             rng, grid, size))
         assert abs(mean - (math.log(t / s) - 1.0 + s / t)) <= 3.0 * stderr
 
-    @pytest.mark.parametrize("beta", [1.0, 3.0])
-    def test_log_time_matches_r_grid(self, beta):
-        """Each point of the fit against the uniform r-grid route it replaced
-        (the trapezoidal rule in r of (y/r)^2, zero-crossing midpoints
-        included), at reduced samples: within 3 combined standard errors."""
-        s_list, t, n = [2.0, 4.0, 8.0, 16.0], 512.0, 4_000
-        rep = alpha2_exponent_fit(beta, s_list, t, n, 0.1, seed=21)
-        for idx, s in enumerate(s_list):
-            grid = _log_time_grid(s, t, 0.1)
-            log_time = _chunked_mean(21 + idx, n, lambda rng, size: np.exp(
-                -beta * _quadratic_angle(rng, grid, size)))
-            assert math.log(log_time[0]) == pytest.approx(rep["points"][idx][1], rel=1e-12)
-            r_grid = _chunked_mean(31 + idx, n, _weighted_paths(
-                _weight_grid(s, t, 0.1), beta, lambda y, r: (y / r) ** 2, 0.0))
-            assert abs(log_time[0] - r_grid[0]) <= 3.0 * math.hypot(log_time[1], r_grid[1])
-
 
 class TestBridgeBarrier:
     def test_exact_values(self):
@@ -243,6 +360,26 @@ class TestBridgeBarrier:
             exact = bridge_barrier_probability(0.0, 0.1, t, -0.2, K)
             est = bridge_barrier_mc(0.0, 0.1, t, -0.2, K, 30000, 1e-3, seed=seed)
             assert abs(est.value - exact) <= 3.0 * est.stderr
+
+    @settings(max_examples=40, deadline=None)
+    @given(x_gap=GAP, y_gap=GAP, K=st.floats(-1.0, 2.0), t=st.floats(0.05, 2.0),
+           step=st.floats(1e-3, 1.0), seed=st.integers(0, 2**31))
+    @example(x_gap=5e-4, y_gap=0.3, K=1.0, t=1.0, step=0.01, seed=1)
+    @example(x_gap=1.0, y_gap=1e-4, K=1.0, t=1.0, step=1e-3, seed=2)
+    def test_matches_dense(self, x_gap, y_gap, K, t, step, seed):
+        """The gathered crossing correction equals the dense one exactly,
+        endpoints just below K included."""
+        assert_barrier_as_dense(K - x_gap, t, K - y_gap, K, step, seed)
+
+    @pytest.mark.parametrize("K, step, share", [(1.0, 0.5, 1.0), (3.0, 1e-3, 0.0)])
+    def test_matches_dense_at_both_extremes(self, K, step, share):
+        """A coarse step where the correction is taken on every step of
+        the paths below K, and a fine one where it is taken on none."""
+        grid, paths = marched_paths(4, 200, 0.0, 1.0, 0.0, step, end=0.0)
+        clear = paths[(paths < K).all(axis=1)]
+        near = (K - clear[:, :-1]) * (K - clear[:, 1:]) < 400.0 * (grid[1] - grid[0])
+        assert near.mean() == share
+        assert_barrier_as_dense(0.0, 1.0, 0.0, K, step, 4)
 
 
 class TestBessel:
