@@ -46,6 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e
 
 from .errors import ConfigurationError, DomainError, NumericalFailure
 
@@ -264,8 +265,6 @@ def estimate_total_mass(s: float, t: float, x: float, params, n_samples: int,
         return KernelEstimate(1.0, 0.0, n_samples, step)
     _validate(s, t, n_samples, step)
     beta, alpha = params.beta, params.alpha
-    if beta == 0.0:
-        return KernelEstimate(1.0, 0.0, n_samples, step)
     r_grid = _weight_grid(s, t, step)
     kernel = _kernel_weight(alpha, _branch_fn(envelope, branch))
     mean, stderr, count = _chunked_mean(seed, n_samples, _weighted_paths(r_grid, beta, kernel, x))
@@ -290,8 +289,6 @@ def estimate_gtilde(s: float, x: float, t: float, y: float, params, n_samples: i
     _validate(s, t, n_samples, step)
     beta, alpha = params.beta, params.alpha
     pref = math.exp(-((y - x) ** 2) / (2.0 * (t - s))) / math.sqrt(2.0 * math.pi * (t - s))
-    if beta == 0.0:
-        return KernelEstimate(pref, 0.0, n_samples, step)
     r_grid = _weight_grid(s, t, step)
     kernel = _kernel_weight(alpha, _branch_fn(envelope, branch))
     mean, stderr, count = _chunked_mean(seed, n_samples,
@@ -356,8 +353,8 @@ def alpha2_exponent_fit(beta: float, s_list, t: float, n_samples: int, step: flo
     """
     if len(set(s_list)) < 2:
         raise ConfigurationError(f"a slope needs at least two distinct s, got {list(s_list)}")
-    if beta == 0.0:
-        return {"slope": 0.0, "intercept": 0.0, "r2": 1.0, "points": []}
+    if not beta > 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
     vals, logs = [], []
     for idx, s in enumerate(sorted(s_list)):
         _validate(s, t, n_samples)
@@ -429,30 +426,10 @@ def bridge_barrier_mc(s: float, x: float, t: float, y: float, K: float,
     return KernelEstimate(mean, stderr, count, r_grid[1] - r_grid[0])
 
 
-def log_i0(z):
-    """log I_0(z) for z >= 0: power series below 20, two-term asymptotic
-    e^z / sqrt(2 pi z) (1 + 1/(8z)) beyond, evaluated in log space."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 20.0
-    if np.any(small):
-        zs = z[small]
-        term = np.ones_like(zs)
-        acc = np.ones_like(zs)
-        for k in range(1, 40):
-            term = term * (zs / (2.0 * k)) ** 2
-            acc += term
-        out[small] = np.log(acc)
-    if np.any(~small):
-        zl = z[~small]
-        out[~small] = zl - 0.5 * np.log(2.0 * math.pi * zl) + np.log1p(1.0 / (8.0 * zl))
-    return out
-
-
 def bessel_density(r0: float, s: float, z) -> np.ndarray:
     """Density of the radius at time s of a planar Brownian motion started
-    at radius r0: (z/s) exp(-(r0^2+z^2)/(2s)) I_0(r0 z / s), via log-space
-    Bessel evaluation so large arguments cannot overflow."""
+    at radius r0: (z/s) exp(-(r0^2+z^2)/(2s)) I_0(r0 z / s), with
+    log I_0(u) = log(i0e(u)) + u so large arguments cannot overflow."""
     if s <= 0:
         raise DomainError("s must be positive")
     z_arr = np.asarray(z, dtype=float)
@@ -460,9 +437,10 @@ def bessel_density(r0: float, s: float, z) -> np.ndarray:
         raise DomainError("z must be nonnegative")
     with np.errstate(divide="ignore"):
         logz = np.where(z_arr > 0, np.log(np.maximum(z_arr, 1e-300)), -np.inf)
+        u = r0 * z_arr / s
         log_dens = (logz - math.log(s)
                     - (r0 ** 2 + z_arr ** 2) / (2.0 * s)
-                    + log_i0(r0 * z_arr / s))
+                    + np.log(i0e(u)) + u)
     out = np.exp(log_dens)
     return float(out) if np.isscalar(z) else out
 

@@ -34,12 +34,6 @@ def _positive(v):
     return float(v)
 
 
-def _nonneg(v):
-    if not (isinstance(v, (int, float)) and 0 <= v < math.inf):
-        raise ConfigurationError(f"expected a finite nonnegative number, got {v!r}")
-    return float(v)
-
-
 def _count(v):
     if not (isinstance(v, int) and v >= 1):
         raise ConfigurationError(f"expected a count >= 1, got {v!r}")
@@ -301,8 +295,8 @@ _MODEL = {"alpha": Param(_positive, 1.0), "beta": Param(_positive, 1.0),
           "family": Param(RateFamily, "SinPow")}
 _GRIDS = {"x_max": Param(_positive, 8.0), "dx": Param(_positive, 1.0 / 128.0),
           "cfl": Param(_positive, 0.02)}
-# mass and gtilde weight paths on the power-clamp family, and allow beta = 0
-_KERNEL_MODEL = {**_MODEL, "beta": Param(_nonneg, 1.0), "family": Param(RateFamily, "PowClamp")}
+# mass and gtilde weight paths on the power-clamp family
+_KERNEL_MODEL = {**_MODEL, "family": Param(RateFamily, "PowClamp")}
 
 
 def _functional_params(prefix=""):

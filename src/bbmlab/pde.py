@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from .errors import ConfigurationError, DomainError, NumericalFailure
 from .files import write_csv, write_json
-from .spectral import EigenSystem, _solve_tridiagonal, derivative, rescale_to_q
+from .spectral import (EigenSystem, _lowest_eigenvalues, _solve_tridiagonal, derivative,
+                       rescale_to_q)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,6 @@ def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi:
     (interpolation error ~1e-9, far below the h^2 scale it corrects).
     The returned function maps a sequence of q values to an array."""
     from scipy.interpolate import CubicSpline
-    from scipy.linalg import eigh_tridiagonal
 
     h = x[1] - x[0]
     vi = v_pot[1:-1]
@@ -287,10 +286,7 @@ def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi:
     off = np.full(n - 1, -1.0 / h ** 2)
 
     def ground(qv):
-        d = 2.0 / h ** 2 + qv * vi
-        w = eigh_tridiagonal(d, off, select="i", select_range=(0, 0),
-                             eigvals_only=True)
-        return float(w[0])
+        return float(_lowest_eigenvalues(2.0 / h ** 2 + qv * vi, off, 1)[0])
 
     if abs(q_hi - q_lo) < 1e-14:
         lam = ground(q_lo)
@@ -594,40 +590,40 @@ def kernel_G_from_g(s: float, x: float, t: float, y: float, beta: float, alpha: 
 def galerkin_matrices(sys: EigenSystem, n_modes: int):
     """Diagonal gap matrix D and antisymmetric mixing matrix A.
 
-    D = diag(lambda_i - lambda_0).  A is assembled by Simpson quadrature of
-    (<phi_j, x phi_i'> - <x phi_j', phi_i>) / (2 (2+alpha)) over the full
-    line (derivatives by 4th-order centered differences), antisymmetrized
-    afterwards; the pre-symmetrization defect is reported and must stay
-    below 1e-5.
+    D = diag(lambda_i - lambda_0).  A[i, j] = (<phi_j, x phi_i'> -
+    <x phi_j', phi_i>) / (2 (2+alpha)) for levels of the same parity (for
+    opposite parities the integrand is odd and the integral zero), with
+    derivatives by 4th-order centered differences and integrals by the
+    composite Simpson rule over the full-line grid, Cartwright's correction
+    on its last interval (the rule of scipy's `simpson`).  Every
+    same-parity integrand is even, so the rule is folded onto the half line
+    and two products give all integrals: M[i, j] = <x phi_i, phi_j'> and
+    G[i, j] = <phi_i, phi_j>, so that A = (M^T - M) / (2 (2+alpha)).
+    Integration by parts makes M + M^T + G vanish between distinct levels;
+    the largest such residual over same-parity pairs is returned as the
+    quadrature defect and must stay below 1e-5.
     """
     if sys.n_levels < n_modes:
         raise DomainError(f"system holds {sys.n_levels} levels, need {n_modes}")
     lam = sys.eigenvalues[:n_modes]
     d_diag = lam - lam[0]
 
-    g = sys.grid
-    x_full = np.concatenate([-g[::-1], g])
-    funcs, dfuncs = [], []
-    for n in range(n_modes):
-        f = sys.eigenfunctions[n]
-        df = derivative(sys, n)
-        sgn = float(sys.parity(n))
-        funcs.append(np.concatenate([sgn * f[::-1], f]))
-        dfuncs.append(np.concatenate([-sgn * df[::-1], df]))
+    g, h = sys.grid, sys.h_grid
+    n = len(g)
+    full = np.where(np.arange(2 * n) % 2 == 1, 4.0 * h / 3.0, 2.0 * h / 3.0)
+    full[0] = h / 3.0
+    full[-3:] = 5.0 * h / 4.0, h, 5.0 * h / 12.0  # the last interval's correction
+    w = full[n:] + full[n - 1::-1]  # folded about 0
+    f = sys.eigenfunctions[:n_modes]
+    df = np.array([derivative(sys, i) for i in range(n_modes)])
+    m = (f * (w * g)) @ df.T
+    gram = (f * w) @ f.T
 
-    raw = np.zeros((n_modes, n_modes))
+    idx = np.arange(n_modes)
+    same = (idx[:, None] + idx[None, :]) % 2 == 0
     pref = 1.0 / (2.0 * (2.0 + sys.alpha))
-    for i in range(n_modes):
-        for j in range(n_modes):
-            if (i + j) % 2 == 1:
-                continue  # opposite parity: integrand is odd, integral zero
-            if i == j:
-                continue
-            integrand = funcs[j] * x_full * dfuncs[i] - x_full * dfuncs[j] * funcs[i]
-            raw[i, j] = pref * float(simpson(integrand, x=x_full))
-
-    a_mat = 0.5 * (raw - raw.T)
-    defect = float(np.abs(0.5 * (raw + raw.T)).max())
+    a_mat = np.where(same, pref * (m.T - m), 0.0)
+    defect = float(np.abs((m + m.T + gram)[same & (idx[:, None] != idx)]).max(initial=0.0))
     if defect > 1e-5:
         raise NumericalFailure(f"mixing-matrix quadrature defect {defect:.2e} > 1e-5")
     return np.diag(d_diag), a_mat, defect

@@ -5,8 +5,14 @@ levels satisfy f'(0) = 0, odd levels f(0) = 0.  We discretize each parity
 class on a staggered half-line grid x_j = (j + 1/2) h (so the |x|^alpha
 kink at the origin is never sampled), with a Dirichlet wall at x_max far
 beyond the classical turning point.  Both reductions are symmetric
-tridiagonal; eigenvalues come from LAPACK's tridiagonal solver and are
-Richardson-extrapolated over the grid pair (h, h/2).
+tridiagonal.  Eigenvalues come from LAPACK bisection (dstebz) on three grids
+h, h/2 and h/4 (halved further while the estimate misses the accuracy):
+Richardson values from (h, h/2) and from (h/2, h/4) differ by the error
+estimate of the finer one.  The coarse grids compute eigenvalues only;
+eigenvectors (dstein, then inverse iteration) are taken on the final grid
+for the kept levels alone.  The two parity classes are solved at the same
+time, the even one on a worker thread: dstebz and dstein are called through
+scipy's Cython exports, which release the GIL for the call.
 
 Only q = 1 is ever solved directly; other q follow from the exact scaling
 
@@ -16,12 +22,15 @@ Only q = 1 is ever solved directly; other q follow from the exact scaling
 
 from __future__ import annotations
 
+import ctypes
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cython_lapack
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalFailure
@@ -155,10 +164,101 @@ def _parity_tridiag(alpha: float, h: float, x_max: float, even: bool, q: float =
     return x, diag, off
 
 
-def _solve_parity(alpha, h, x_max, even, k, q=1.0):
-    x, d, e = _parity_tridiag(alpha, h, x_max, even, q)
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    return x, w, v, (d, e)
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _cython_lapack(name, n_args):
+    """The LAPACK routine `name` as scipy exports it for Cython, callable
+    through ctypes; every argument is a pointer.  ctypes releases the GIL
+    for the whole foreign call, which scipy's f2py wrappers do not."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
+    return prototype(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_ROUTINES = {"dstebz": _cython_lapack("dstebz", 18), "dstein": _cython_lapack("dstein", 13)}
+
+
+def _prepared(name, *args):
+    """A zero-argument call of LAPACK `name` with every argument allocated
+    by the caller: arrays (one-element ones for scalars) pass by address and
+    bytes as character flags.  The call allocates nothing, so it may run on a
+    worker thread without that thread growing a malloc arena of its own."""
+    return partial(_ROUTINES[name], *[
+        a if isinstance(a, bytes) else a.ctypes.data_as(ctypes.c_void_p) for a in args])
+
+
+def _int(v):
+    return np.array([v], dtype=np.intc)
+
+
+def _checked(name, info):
+    if info[0] != 0:
+        raise NumericalFailure(f"LAPACK {name} failed (info {int(info[0])})")
+
+
+def _stebz(d, e, k):
+    """dstebz for the k lowest eigenvalues of the symmetric tridiagonal with
+    diagonal d and off-diagonal e, as scipy's eigh_tridiagonal calls it:
+    index range, absolute tolerance 0, block order.  Returns the prepared
+    call and a function that, after it, gives (w, iblock, isplit) with the
+    k eigenvalues in block order."""
+    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
+    n = len(d)
+    if d.ndim != 1 or e.shape != (n - 1,):
+        raise ValueError(f"need d of length n and e of length n - 1, got {d.shape} and {e.shape}")
+    w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc)
+    m, info = _int(0), _int(0)
+    call = _prepared("dstebz", b"I", b"B", _int(n), np.zeros(1), np.zeros(1), _int(1), _int(k),
+                     np.zeros(1), d, e, m, _int(0), w, iblock, isplit, np.empty(4 * n),
+                     np.empty(3 * n, dtype=np.intc), info)
+
+    def result():
+        _checked("dstebz", info)
+        return w[:m[0]], iblock, isplit
+    return call, result
+
+
+def _stein(d, e, w, iblock, isplit):
+    """dstein for the eigenvectors of the tridiagonal (d, e) at the
+    eigenvalues w (block order, with dstebz's iblock and isplit).  Returns
+    the prepared call and a function that, after it, gives the vectors as
+    the rows of one array."""
+    d, e, w = (np.ascontiguousarray(a, dtype=float) for a in (d, e, w))
+    iblock, isplit = (np.ascontiguousarray(a, dtype=np.intc) for a in (iblock, isplit))
+    n, m = len(d), len(w)
+    if d.ndim != 1 or e.shape != (n - 1,) or isplit.shape != (n,) or len(iblock) < m:
+        raise ValueError("need d and isplit of length n, e of length n - 1 and an iblock "
+                         "entry per eigenvalue")
+    z = np.zeros((m, n))  # column-major n x m with leading dimension n
+    info = _int(0)
+    call = _prepared("dstein", _int(n), d, e, _int(m), w, iblock, isplit, z, _int(n),
+                     np.empty(5 * n), np.empty(n, dtype=np.intc),
+                     np.empty(m, dtype=np.intc), info)
+
+    def result():
+        _checked("dstein", info)
+        return z
+    return call, result
+
+
+def _lowest_eigenvalues(d, e, k):
+    """The k lowest eigenvalues of the symmetric tridiagonal (d, e), in
+    ascending order, by dstebz on this thread."""
+    call, result = _stebz(d, e, k)
+    call()
+    return np.sort(result()[0])
+
+
+def _both(worker, even, odd):
+    """Run two prepared LAPACK calls at once: the even parity class's on the
+    worker thread, the odd one's on this thread."""
+    pending = worker.submit(even)
+    odd()
+    pending.result()
 
 
 def _solve_tridiagonal(dl, d, du, b):
@@ -198,20 +298,12 @@ def _refine_vector(d, e, lam, v):
     return cur
 
 
-def _normalized_functions(x, vecs, h):
-    """Unit full-line L2 norm and positive tail sign per column."""
-    out = []
-    for j in range(vecs.shape[1]):
-        f = vecs[:, j].copy()
-        norm = math.sqrt(2.0 * h * float(f @ f))
-        f /= norm
-        # sign: positive beyond the largest zero = positive where the
-        # envelope is still well above noise at the far end
-        tail = np.nonzero(np.abs(f) > 1e-8 * np.abs(f).max())[0]
-        if f[tail[-1]] < 0:
-            f = -f
-        out.append(f)
-    return out
+def _normalized(f, h):
+    """f scaled to unit full-line L2 norm and positive past its largest zero,
+    that is where the envelope is still well above noise at the far end."""
+    f = f / math.sqrt(2.0 * h * float(f @ f))
+    tail = np.nonzero(np.abs(f) > 1e-8 * np.abs(f).max())[0]
+    return -f if f[tail[-1]] < 0 else f
 
 
 def solve_spectrum(alpha: float, n_max: int, accuracy: float = DEFAULT_ACCURACY,
@@ -235,56 +327,66 @@ def solve_spectrum(alpha: float, n_max: int, accuracy: float = DEFAULT_ACCURACY,
         if q != 1.0:
             x_max = max(20.0, x_max * q ** (-1.0 / (2.0 + alpha)) + 3.0)
 
-    k_even = (n_max + 1) // 2 + 1
-    k_odd = n_max // 2 + 1
+    # one level per class beyond those kept: it bounds the bisection and
+    # the interlacing check reads it
+    kept = ((n_max + 1) // 2, n_max // 2)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def levels(hh):
+            """Eigenvalues of both parity classes on the grid of step hh,
+            bisected at the same time; also each class's tridiagonal with
+            its dstebz result, for the eigenvectors."""
+            classes = []
+            for even, k in zip((True, False), kept):
+                x, d, e = _parity_tridiag(alpha, hh, x_max, even, q)
+                classes.append((d, e, *_stebz(d, e, k + 1)))
+            (_, _, even_call, _), (_, _, odd_call, _) = classes
+            _both(worker, even_call, odd_call)
+            found = [(d, e, *result()) for d, e, _, result in classes]
+            (_, _, w_even, _, _), (_, _, w_odd, _, _) = found
+            return x, _interleave(np.sort(w_even), np.sort(w_odd))[:n_max], found
 
-    def merged(hh):
-        _, we, ve, ge = _solve_parity(alpha, hh, x_max, True, k_even, q)
-        x, wo, vo, go = _solve_parity(alpha, hh, x_max, False, k_odd, q)
-        return x, _interleave(we, wo)[:n_max], (we, ve, ge), (wo, vo, go)
+        # three grids h, h/2, h/4: two Richardson values whose difference
+        # estimates the error of the finer one
+        _, lam_h, _ = levels(h)
+        _, lam_h2, _ = levels(h / 2)
+        rich_prev = (4.0 * lam_h2 - lam_h) / 3.0
 
-    # three grids h, h/2, h/4: two Richardson values whose difference
-    # estimates the error of the finer one
-    _, lam_h, _, _ = merged(h)
-    _, lam_h2, _, _ = merged(h / 2)
-    rich_prev = (4.0 * lam_h2 - lam_h) / 3.0
+        last_pair = None
+        for attempt in range(MAX_REFINEMENTS + 1):
+            hf = h / 2 ** (attempt + 2)
+            xf, lam_hf, found = levels(hf)
+            lam_rich = (4.0 * lam_hf - lam_h2) / 3.0
+            est = np.abs(lam_rich - rich_prev)
+            last_pair = (rich_prev.copy(), lam_rich.copy())
+            if est.max() <= accuracy:
+                break
+            lam_h2, rich_prev = lam_hf, lam_rich
+        else:
+            raise NumericalFailure(
+                f"eigenvalues did not reach accuracy {accuracy:.1e} after "
+                f"{MAX_REFINEMENTS} refinements (last estimates "
+                f"{est.max():.2e})", estimates=last_pair)
 
-    last_pair = None
-    for attempt in range(MAX_REFINEMENTS + 1):
-        hf = h / 2 ** (attempt + 2)
-        xf, lam_hf, ve_f, vo_f = merged(hf)
-        lam_rich = (4.0 * lam_hf - lam_h2) / 3.0
-        est = np.abs(lam_rich - rich_prev)
-        last_pair = (rich_prev.copy(), lam_rich.copy())
-        if est.max() <= accuracy:
-            break
-        lam_h2, rich_prev = lam_hf, lam_rich
-    else:
-        raise NumericalFailure(
-            f"eigenvalues did not reach accuracy {accuracy:.1e} after "
-            f"{MAX_REFINEMENTS} refinements (last estimates "
-            f"{est.max():.2e})", estimates=last_pair)
+        if not (lam_rich[0] > 0 and np.all(np.diff(lam_rich) > 0)):
+            raise NumericalFailure("eigenvalues not positive strictly increasing")
 
-    if not (lam_rich[0] > 0 and np.all(np.diff(lam_rich) > 0)):
-        raise NumericalFailure("eigenvalues not positive strictly increasing")
+        # eigenvectors of the kept levels only, passed to dstein in block order
+        vectors = []
+        for (d, e, w, iblock, isplit), k in zip(found, kept):
+            pick = np.sort(np.argsort(w)[:k])
+            vectors.append((d, e, w[pick], *_stein(d, e, w[pick], iblock[pick], isplit)))
+        (*_, even_call, _), (*_, odd_call, _) = vectors
+        _both(worker, even_call, odd_call)
 
-    def refined(bundle, k):
-        w, v, (d, e) = bundle
-        cols = np.column_stack([
-            _refine_vector(d, e, w[j], v[:, j]) for j in range(k)
-        ])
-        return _normalized_functions(xf, cols, hf)
-
-    funcs_even = refined(ve_f, k_even)
-    funcs_odd = refined(vo_f, k_odd)
     funcs = []
-    for n in range(n_max):
-        funcs.append(funcs_even[n // 2] if n % 2 == 0 else funcs_odd[n // 2])
+    for d, e, w, _, result in vectors:
+        z = result()
+        funcs.append([_normalized(_refine_vector(d, e, w[j], z[j]), hf) for j in np.argsort(w)])
 
     return EigenSystem(
         alpha=alpha, q=q, grid=xf, eigenvalues=lam_rich,
-        eigenfunctions=np.array(funcs), error_estimates=est,
-        h=hf, x_max=x_max, discrete_eigenvalues=lam_hf,
+        eigenfunctions=np.array([funcs[n % 2][n // 2] for n in range(n_max)]),
+        error_estimates=est, h=hf, x_max=x_max, discrete_eigenvalues=lam_hf,
     )
 
 

@@ -25,10 +25,10 @@ from bbmlab.mc import (
     estimate_gtilde,
     estimate_total_mass,
     localization_probe,
-    log_i0,
     make_envelope,
 )
 from bbmlab.model import ModelParams, RateFamily
+from bbmlab.operations import REGISTRY
 
 from test_mc_stream import marched_paths
 
@@ -169,13 +169,13 @@ class TestMarch:
 class TestTotalMass:
     def test_degenerate_and_beta_zero(self):
         assert estimate_total_mass(4.0, 4.0, 0.0, P11, 1000, 0.1, seed=1).value == 1.0
-        p0 = ModelParams(alpha=1.0, beta=1e-300, rate_family=RateFamily.POW_CLAMP)
-        # beta == 0 handled as exact unity
-        import dataclasses
-
-        pz = dataclasses.replace(P11, beta=1.0)
-        est = estimate_total_mass(4.0, 8.0, 0.0, pz, 1000, 0.1, seed=1)
-        assert 0.0 < est.value < 1.0
+        # beta = 0 reaches no estimator: the model rejects it, and so do the
+        # mass and gtilde operations when they parse their parameters
+        with pytest.raises(ConfigurationError, match="beta"):
+            ModelParams(alpha=1.0, beta=0.0, rate_family=RateFamily.POW_CLAMP)
+        for name in ("mass", "gtilde"):
+            with pytest.raises(ConfigurationError):
+                REGISTRY[name].parameters["beta"].parse(0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -315,7 +315,9 @@ class TestLocalization:
 
 class TestAlpha2Fit:
     def test_beta_zero(self):
-        assert alpha2_exponent_fit(0.0, [2.0, 4.0], 64.0, 1000, 0.1, seed=1)["slope"] == 0.0
+        for beta in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="beta"):
+                alpha2_exponent_fit(beta, [2.0, 4.0], 64.0, 1000, 0.1, seed=1)
 
     @pytest.mark.parametrize("s_list", [[], [4.0], [4.0, 4.0]])
     def test_needs_two_distinct_s(self, s_list):
@@ -401,15 +403,18 @@ class TestBessel:
         bound = z / 1.5 * np.exp(-((z - 2.0) ** 2) / (2 * 1.5))
         assert np.all(d <= bound + 1e-14)
 
-    def test_log_i0_against_scipy(self):
-        from scipy.special import i0e
+    def test_density_against_mpmath(self):
+        # r0 = z = sqrt(u s) puts the Bessel argument r0 z / s at u and keeps
+        # the density of order one; u runs across 20, where a series and an
+        # asymptotic form would meet
+        import mpmath as mp
 
-        z = np.array([0.0, 0.5, 3.0, 19.0, 25.0, 200.0, 5000.0])
-        ref = np.log(i0e(z)) + z
-        assert np.allclose(log_i0(z), ref, rtol=2e-3, atol=1e-14)
-        # series region is essentially exact
-        zs = z[z < 20]
-        assert np.allclose(log_i0(zs), np.log(i0e(zs)) + zs, rtol=1e-12)
+        s = 1.5
+        for u in (0.5, 3.0, 19.0, 19.99, 20.0, 20.01, 25.0, 40.0, 100.0, 1000.0):
+            r0 = z = math.sqrt(u * s)
+            with mp.workdps(40):
+                want = float(z / s * mp.exp(-(r0 ** 2 + z ** 2) / (2 * s)) * mp.besseli(0, u))
+            assert bessel_density(r0, s, z) == pytest.approx(want, rel=1e-12)
 
     def test_no_overflow_large_argument(self):
         val = bessel_density(300.0, 1.0, 300.0)

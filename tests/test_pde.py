@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from bbmlab.pde import (
     rho_for_kernel,
     solve_pde,
 )
-from bbmlab.spectral import _solve_tridiagonal
+from bbmlab.spectral import _solve_tridiagonal, derivative
 
 from oracles import hermite_mixing_entry
 
@@ -250,6 +251,35 @@ class TestGalerkin:
     def test_needs_enough_levels(self, sys_a1_small):
         with pytest.raises(DomainError):
             galerkin_matrices(sys_a1_small, 10)
+
+    def test_products_match_full_line_simpson(self, sys_a1_small):
+        # A entry by entry as a full-line Simpson integral of its integrand
+        from scipy.integrate import simpson
+
+        s, n = sys_a1_small, 5
+        _, a_mat, defect = galerkin_matrices(s, n)
+        x = np.concatenate([-s.grid[::-1], s.grid])
+        f = [np.concatenate([s.parity(i) * s.eigenfunctions[i][::-1], s.eigenfunctions[i]])
+             for i in range(n)]
+        df = [np.concatenate([-s.parity(i) * derivative(s, i)[::-1], derivative(s, i)])
+              for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                want = 0.0
+                if (i + j) % 2 == 0 and i != j:
+                    want = simpson(f[j] * x * df[i] - x * df[j] * f[i], x=x) / 6.0
+                assert abs(a_mat[i, j] - want) <= 1e-14
+        assert np.array_equal(a_mat, -a_mat.T)
+        assert defect < 1e-10
+
+    def test_defect_sees_rough_eigenfunctions(self, sys_a1_small):
+        # grid-scale noise breaks the integration-by-parts identity the
+        # defect measures; a smooth system passes it by orders of magnitude
+        rng = np.random.default_rng(3)
+        f = sys_a1_small.eigenfunctions
+        rough = replace(sys_a1_small, eigenfunctions=f + 1e-2 * rng.standard_normal(f.shape))
+        with pytest.raises(NumericalFailure, match="quadrature defect"):
+            galerkin_matrices(rough, 5)
 
 
 class TestC0Stability:

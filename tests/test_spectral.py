@@ -1,10 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
-from bbmlab.errors import DomainError
+from bbmlab.errors import DomainError, NumericalFailure
 from bbmlab.spectral import (
+    _lowest_eigenvalues,
+    _stebz,
+    _stein,
     derivative,
     fit_tail_constant,
     rescale_to_q,
@@ -204,3 +212,136 @@ class TestExports:
 
         meta = json.loads(js.read_text())
         assert meta["alpha"] == 1.0 and len(meta["lambdas"]) == 5
+
+
+# sha256 of the float64 bytes of each array, taken before the parity classes
+# were solved concurrently through the ctypes binding (with eigenvalues only
+# on the coarse grids and eigenvectors only for the kept levels), which must
+# leave every bit as it was.  Recorded with numpy 2.4 and scipy 1.17 on x86-64.
+PINNED_SPECTRA = {
+    "alpha2-n3": ((2.0, 3), {}, {
+        "eigenvalues": "f57367224103bc870b962fb4f630d3e265b4b7c4b66100715b811b1ad6441ece",
+        "eigenfunctions": "07bb1ab1b284713a463673e92c0c732f40e03207e0e87541cbf97120d8ffc895",
+        "error_estimates": "085106e45582ca4b3f5bae474050ea806f9c1c5885b76b2fa79b6e0b2492eeeb",
+        "discrete_eigenvalues": "314494266912bbfe0f9aa6ba9347ad1674620a314b6ad02c2ac344d43404003b"}),
+    "alpha1-n5-q0.5": ((1.0, 5), {"q": 0.5}, {
+        "eigenvalues": "9207232464fd2d21e2e0b0d65def66ace6f1d945ebf8761457b11fb276f00e22",
+        "eigenfunctions": "231ff93c5bc6e5c4cbd74f8392a7ad07a0f77526fd33e69f894ddd7d098cf2ba",
+        "error_estimates": "db69f292b5d135d8cc396c928841982270f74a2996d2fe1e9c897f6a6c0b31ec",
+        "discrete_eigenvalues": "9d4af5ac621e458afaefc558e2c01cc3fbe81760487fca33782940a2b4ef982e"}),
+    "alpha1-n26-acc1e-7": ((1.0, 26), {"accuracy": 1e-7}, {
+        "eigenvalues": "9f3c55dc20e0dc4cba745c583f4db6e4b8e3c4317a165c3912a19829c1272637",
+        "eigenfunctions": "e2bbe775327eb6031b362eb9a1f0a0ade34dda0810bc11422259fa93eeec97bc",
+        "error_estimates": "9be07c98a6b9ec7e2013f79a327182e45e963bb6855a0d08335285fcfd499ccc",
+        "discrete_eigenvalues": "8ddf3844aab07a6a116087a034074c04bb7875e778227500d974c1718582964c"}),
+    "alpha0.8-n12": ((0.8, 12), {}, {
+        "eigenvalues": "88a7d6b5c5b34c8a3a1a273702a7038180f332ed43dfb675d639de20e29ce755",
+        "eigenfunctions": "1f28e5cb87e8cf93438134fd4bd05ce7a04b52d85060b766479a3b0eed0c7758",
+        "error_estimates": "ddcdbcde24d28ce7abb2a394d4c3fc7005d9680657f15b9c7e9121c5bc4c9129",
+        "discrete_eigenvalues": "f766d357d707f5a1565ae279d89c5586499dae107ca442c909cc93d71ba8ef5d"}),
+    # one level: the odd class keeps none
+    "alpha1-n1": ((1.0, 1), {}, {
+        "eigenvalues": "524b266a851c75b25f9e429f4dbd996c48efb2daaee7df1f90ff8b2001539797",
+        "eigenfunctions": "9ecf6acd0190a1b8d6b73230bf0e4f31c0c31a0d4f34e7d6bc96a4000ac46860",
+        "error_estimates": "875b6764aec12bcf35e71541b997e2dfa5f40eef1242be57848c2e86b0b7cb0d",
+        "discrete_eigenvalues": "06009256cb3e4a2a454cc59e74dcb09187ca4381560368a08053e03169b5f352"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECTRA))
+def test_pinned_spectrum(name):
+    args, kwargs, expected = PINNED_SPECTRA[name]
+    sys_ = solve_spectrum(*args, **kwargs)
+    got = {field: hashlib.sha256(np.ascontiguousarray(getattr(sys_, field), dtype="<f8")
+                                 .tobytes()).hexdigest() for field in expected}
+    assert got == expected
+
+
+def _symmetric_tridiagonal(n, seed, split):
+    """Random (d, e); a fraction `split` of the off-diagonal is zeroed, so
+    the matrix falls into blocks."""
+    rng = np.random.default_rng(seed)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    e[rng.random(n - 1) < split] = 0.0
+    return d, e
+
+
+class TestLapackBinding:
+    """dstebz and dstein called through ctypes against scipy's f2py wrappers
+    of the same routines, with the arguments scipy's eigh_tridiagonal uses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.05]),
+           st.data())
+    def test_equals_f2py(self, n, seed, split, data):
+        k = data.draw(st.integers(1, n))
+        d, e = _symmetric_tridiagonal(n, seed, split)
+        call, result = _stebz(d, e, k)
+        call()
+        w, iblock, isplit = result()
+        m, w_ref, iblock_ref, isplit_ref, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+        assert info == 0 and m == len(w) == k
+        assert w.tobytes() == w_ref[:m].tobytes()
+        blocks = iblock_ref[:m].max()
+        assert np.array_equal(iblock[:m], iblock_ref[:m])
+        assert np.array_equal(isplit[:blocks], isplit_ref[:blocks])
+
+        call, result = _stein(d, e, w, iblock, isplit)
+        call()
+        z_ref, info = dstein(d, e, w_ref[:m], iblock_ref, isplit_ref)
+        assert info == 0
+        assert result().tobytes() == np.ascontiguousarray(z_ref.T).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+    def test_lowest_eigenvalues_equal_eigh_tridiagonal(self, n, seed, k):
+        d, e = _symmetric_tridiagonal(n, seed, 0.0)
+        k = min(k, n)
+        ref = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True)
+        assert _lowest_eigenvalues(d, e, k).tobytes() == ref.tobytes()
+
+    def test_info_raises(self):
+        # an index range past the matrix order, then more eigenvalues than rows
+        d, e = np.ones(3), np.full(2, 0.5)
+        with pytest.raises(NumericalFailure, match="dstebz"):
+            _lowest_eigenvalues(d, e, 4)
+        call, result = _stein(d, e, np.zeros(4), np.ones(4, dtype=np.intc),
+                              np.full(3, 3, dtype=np.intc))
+        call()
+        with pytest.raises(NumericalFailure, match="dstein"):
+            result()
+
+    def test_concurrent_solves_agree(self):
+        # solves on more threads than cores, each with its own parity
+        # worker, equal a solve run alone bit for bit
+        import sys
+        import threading
+
+        want = solve_spectrum(1.0, 5)
+        got = [None] * 4
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def run(i):
+                got[i] = solve_spectrum(1.0, 5)
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for sys_ in got:
+            assert sys_.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert sys_.eigenfunctions.tobytes() == want.eigenfunctions.tobytes()
+
+    def test_shapes_checked(self):
+        # pointers reach LAPACK only for arrays of the sizes it reads
+        d, e = np.ones(3), np.full(2, 0.5)
+        with pytest.raises(ValueError):
+            _stebz(d, np.ones(3), 1)
+        with pytest.raises(ValueError):
+            _stein(d, e, np.zeros(2), np.ones(1, dtype=np.intc), np.ones(3, dtype=np.intc))
+        with pytest.raises(ValueError):
+            _stein(d, e, np.zeros(1), np.ones(1, dtype=np.intc), np.ones(2, dtype=np.intc))
