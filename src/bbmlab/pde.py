@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -196,11 +196,9 @@ def default_epsilons(rho: float, T: float, kappa: float):
 class PdeGrids:
     x_max: float = 8.0
     dx: float = 1.0 / 128.0
-    dt_max: Optional[float] = None  # default T/400
     # enforce q(t) * dt <= cfl_pot / rho; this also caps the per-step decay
     # phase of the dominant mode, which controls the time-integration bias
     cfl_pot: float = 0.005
-    max_steps: int = 400_000
 
 
 @dataclass
@@ -243,36 +241,6 @@ class PdeField:
         })
 
 
-def _time_steps(rho, T, q: PiecewiseQ, grids: PdeGrids):
-    """Step sequence honoring q(t) dt <= cfl/rho, aligned to q breakpoints."""
-    dt_max = grids.dt_max if grids.dt_max is not None else T / 400.0
-    brk = sorted(b for b in q.breakpoints() if 0.0 < b < T) + [T]
-    steps = []
-    t = 0.0
-    next_brk = iter(brk)
-    nb = next(next_brk)
-    while t < T - 1e-15:
-        dt = min(dt_max, grids.cfl_pot / (rho * q.value(t)))
-        if t + dt >= nb - 1e-15:
-            dt = nb - t
-            newt = nb
-            try:
-                nb_next = next(next_brk)
-            except StopIteration:
-                nb_next = T
-            steps.append(dt)
-            t = newt
-            nb = nb_next
-            continue
-        steps.append(dt)
-        t += dt
-        if len(steps) > grids.max_steps:
-            raise NumericalFailure(
-                f"time grid exceeds {grids.max_steps} steps before reaching T={T} "
-                f"(reached t={t:.5f}); reduce T to about that value or raise the budget")
-    return np.array(steps)
-
-
 def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi: float):
     """Ground eigenvalue of the interior tridiagonal -Dxx + q V as a smooth
     function of q: sampled on a 33-node geometric ladder, cubic spline in log q
@@ -301,41 +269,51 @@ def _discrete_ground_interp(x: np.ndarray, v_pot: np.ndarray, q_lo: float, q_hi:
 GAMMA_TRBDF2 = 2.0 - math.sqrt(2.0)
 STORED_SLICES = 200  # at most this many time slices after the initial one
 CLAIMED_ACCURACY = 1e-3  # relative, validated by halving tests
+MIN_STEPS = 400  # no step longer than T / MIN_STEPS
+MAX_STEPS = 400_000  # the step budget of one solve
 
 
-def _stage_coefficients(steps, q: PiecewiseQ, T: float, rho: float, shifts):
-    """What the stepping loop needs from q, computed before the loop: q and
+def _step_plan(rho, T, q: PiecewiseQ, cfl: float, shifts):
+    """One walk over [0, T] that yields everything the stepping loop needs
+    from the time axis: the step sizes, honoring q(t) dt <= cfl/rho and
+    dt <= T/MIN_STEPS and landing exactly on every breakpoint of q; q and
     the gauge shift at both implicit stages of every step (the Rannacher
-    halves for the first two steps, else the trapezoidal and BDF2 stages),
-    the time after each step, and each step's gauge increment, rho times
+    halves for the first two steps, else the trapezoidal and BDF2 stages);
+    the time after each step; and each step's gauge increment, rho times
     Simpson's rule for the integral of the shift over the step (None when
     `shifts`, which maps a list of q values to their shifts, is None).
-
-    The times are formed as the loop would form them (t += dt, clipped at
-    T; Simpson nodes from t - dt after the increment), so every value is
-    the one a lookup at that stage gives.
+    Simpson's nodes start from a = t - dt, taken after the step.
     """
-    g = GAMMA_TRBDF2
-    n = len(steps)
-    gauged = shifts is not None
-    stage_q, simpson_q, ends = np.empty((n, 2)), np.empty((n if gauged else 0, 3)), np.empty(n)
+    dt_max = T / MIN_STEPS
+    brk = iter(sorted(b for b in q.breakpoints() if 0.0 < b < T))
+    nb = next(brk, T)
+    steps, stage_q, ends = [], [], []
     t = 0.0
-    for k, dt in enumerate(steps):
-        if k < 2:
-            stage_q[k] = [q.value(min(t + (half + 0.5) * dt / 2.0, T)) for half in range(2)]
+    while t < T - 1e-15:
+        dt = min(dt_max, cfl / (rho * q.value(t)))
+        if t + dt >= nb - 1e-15:
+            dt, t_next, nb = nb - t, nb, next(brk, T)
+        elif len(steps) == MAX_STEPS:
+            raise NumericalFailure(
+                f"time grid exceeds {MAX_STEPS} steps before reaching T={T} "
+                f"(reached t={t + dt:.5f}); reduce T to about that value")
         else:
-            stage_q[k] = q.value(min(t + g * dt / 2.0, T)), q.value(min(t + dt, T))
-        t += dt
-        if gauged:
-            a = t - dt
-            simpson_q[k] = q.value(a), q.value(0.5 * (a + t)), q.value(t)
-        ends[k] = t
-    if not gauged:
-        return stage_q, np.zeros_like(stage_q), ends, None
-    stage_shift = shifts(stage_q.ravel().tolist()).reshape(n, 2)
-    fa, fm, fb = shifts(simpson_q.ravel().tolist()).reshape(n, 3).T
+            t_next = t + dt
+        # the midpoints of the two Rannacher halves, or the two TR-BDF2 stages
+        stages = (0.25, 0.75) if len(steps) < 2 else (GAMMA_TRBDF2 / 2.0, 1.0)
+        stage_q.append([q.value(min(t + f * dt, T)) for f in stages])
+        steps.append(dt)
+        ends.append(t_next)
+        t = t_next
+    steps, stage_q, ends = np.array(steps), np.array(stage_q), np.array(ends)
+    if shifts is None:
+        return steps, stage_q, np.zeros_like(stage_q), ends, None
+    n = len(steps)
     a = ends - steps
-    return stage_q, stage_shift, ends, rho * ((ends - a) / 6.0 * (fa + 4.0 * fm + fb))
+    simpson_q = q.value(np.stack([a, 0.5 * (a + ends), ends], axis=1))
+    fa, fm, fb = shifts(simpson_q.tolist()).reshape(n, 3).T
+    stage_shift = shifts(stage_q.ravel().tolist()).reshape(n, 2)
+    return steps, stage_q, stage_shift, ends, rho * ((ends - a) / 6.0 * (fa + 4.0 * fm + fb))
 
 
 def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | None = None,
@@ -377,9 +355,6 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
     u[0] = u[-1] = 0.0
 
     v_pot = np.zeros_like(x) if potential_off else np.abs(x) ** alpha
-    steps = _time_steps(rho, T, q, grids)
-    n_steps = len(steps)
-    stride = max(1, int(np.ceil(n_steps / STORED_SLICES)))
     p_exp = 2.0 / (2.0 + alpha)
 
     # shifts(qs): the gauge shift at each q of a list, as an array
@@ -397,7 +372,9 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
         # Python pow, not np.power: the vectorized power may differ in the last bit
         shifts = lambda qs: np.array([lam_g * v ** p_exp for v in qs])
 
-    stage_q, stage_shift, ends, gauge_steps = _stage_coefficients(steps, q, T, rho, shifts)
+    steps, stage_q, stage_shift, ends, gauge_steps = _step_plan(rho, T, q, grids.cfl_pot, shifts)
+    n_steps = len(steps)
+    stride = max(1, int(np.ceil(n_steps / STORED_SLICES)))
 
     times = [0.0]
     slices = [u.copy()]
@@ -669,25 +646,22 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
 
     times = [grid[0]]
     path = [c.copy()]
-    expm_cache = {}
     for a, b in zip(grid[:-1], grid[1:]):
         w = rho * q.integral_pow(p, a, b)
         half = np.exp(-0.5 * w * d_diag)
         ratio = q.value(b) / q.value(a)
         c = half * c
         if ratio != 1.0:
-            theta = math.log(ratio)
-            key = round(theta, 15)
-            if key not in expm_cache:
-                expm_cache[key] = expm(theta * a_matrix)
-            c = expm_cache[key] @ c
+            c = expm(math.log(ratio) * a_matrix) @ c
         c = half * c
         times.append(b)
         path.append(c.copy())
 
     coeffs = np.array(path)
     norm_end = float(np.linalg.norm(coeffs[-1]))
-    tail = abs(coeffs[-1, -1]) / norm_end if norm_end > 0 else 0.0
+    # the top level of each parity: A never mixes parities, so for an even
+    # source one of them is exactly zero
+    tail = np.abs(coeffs[-1, -2:]).max() / norm_end if norm_end > 0 else 0.0
     return CoefficientPath(times=np.array(times), coefficients=coeffs, tail_ratio=float(tail))
 
 

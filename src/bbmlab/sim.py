@@ -11,8 +11,10 @@ depends on whether its own proposals were accepted).
 
 All randomness is a pure function of (seed, lineage id, counter): each
 proposal consumes four fixed slots (dx, dy, accept-uniform, next wait) and
-each snapshot materialization two (dx, dy), so lineages shared by two runs
-with the same seed and snapshot grid see bit-identical paths and clocks.
+each materialization two (dx, dy).  Every particle is materialized at every
+slice boundary, the snapshots and the three quarter points before each, so
+lineages shared by two runs with the same seed and snapshot grid see
+bit-identical paths and clocks.
 Every particle, the root included, is born through `_Ledger._born`, which
 mixes its lineage key once and keeps it, so a draw mixes only its counter.
 Acceptance u <= b_alpha(theta) is monotone in alpha for the sinusoidal
@@ -302,11 +304,13 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
                    spawn_children: bool = True):
     """Exact thinning simulation; returns (Population, [ExtremalStats]).
 
-    Snapshot times lie in (0, t_end] and are materialization boundaries
-    shared by coupled runs; t_end is always a snapshot.  If the cap would be
-    exceeded the run halts at the last completed slice boundary and the
-    population is flagged truncated, exact at that earlier time (no culling:
-    removing particles would bias the extremes).
+    Snapshot times lie in (0, t_end]; t_end is always a snapshot.  Every
+    particle is materialized at every slice boundary (`_slice_boundaries`:
+    the snapshots and the three quarter points before each), a grid that
+    coupled runs share.  If the cap would be exceeded the run halts at the
+    last completed slice boundary and the population is flagged truncated,
+    exact at that earlier time (no culling: removing particles would bias
+    the extremes).
     """
     snaps = snapshot_grid(snapshot_times, t_end)
     if cap < 1:
@@ -350,8 +354,7 @@ def _replicates(params: ModelParams, t_end: float, seed: int, n: int, **kw):
 
 def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
                 snapshot_times: Sequence[float] = (),
-                cap: int = DEFAULT_CAP, beta: float = 1.0,
-                include_homogeneous: bool = False):
+                cap: int = DEFAULT_CAP, include_homogeneous: bool = False):
     """Coupled sinusoidal-family runs across alpha (ascending), plus an
     optional homogeneous member acting as the alpha = infinity envelope.
 
@@ -363,9 +366,9 @@ def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
     alphas = list(alphas)
     if sorted(alphas) != alphas:
         raise ConfigurationError("alphas must be sorted ascending")
-    envelope = ModelParams(alpha=1.0, beta=beta, rate_family=RateFamily.HOMOGENEOUS)
+    envelope = ModelParams(alpha=1.0, rate_family=RateFamily.HOMOGENEOUS)
     members = [("inf", envelope) if math.isinf(a) else
-               (repr(a), ModelParams(alpha=a, beta=beta, rate_family=RateFamily.SIN_POW))
+               (repr(a), ModelParams(alpha=a, rate_family=RateFamily.SIN_POW))
                for a in alphas]
     if include_homogeneous and not any(k == "inf" for k, _ in members):
         members.append(("inf", envelope))

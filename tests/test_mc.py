@@ -270,12 +270,8 @@ class TestGatheredMidpoints:
 
 
 class TestGtilde:
-    def test_beta_zero_gaussian(self):
-        import dataclasses
-
-        est = estimate_gtilde(4.0, 0.0, 16.0, 0.5, dataclasses.replace(P11, beta=1.0),
-                              500, 0.1, seed=1)
-        # nonzero beta: below the free density
+    def test_below_free_density(self):
+        est = estimate_gtilde(4.0, 0.0, 16.0, 0.5, P11, 500, 0.1, seed=1)
         free = math.exp(-0.25 / 24.0) / math.sqrt(2 * math.pi * 12.0)
         assert est.value < free
 

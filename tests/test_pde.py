@@ -25,6 +25,7 @@ from bbmlab.pde import (
     kernel_G_from_g,
     rho_for_kernel,
     solve_pde,
+    _step_plan,
 )
 from bbmlab.spectral import _solve_tridiagonal, derivative
 
@@ -52,14 +53,29 @@ class TestTimeCoefficient:
 
     def test_time_steps_bound_singular_coefficient(self):
         # q(t) dt stays below cfl/rho all the way to T
-        from bbmlab.pde import _time_steps
-
         q = PiecewiseQ.singular(1.0, 0.9)
-        grids = PdeGrids(cfl_pot=0.05, dt_max=0.1)
-        steps = _time_steps(50.0, 0.9, q, grids)
+        steps = _step_plan(50.0, 0.9, q, 0.05, None)[0]
         t = np.concatenate([[0.0], np.cumsum(steps)])[:-1]
         assert np.all(q.value(t) * steps <= 0.05 / 50.0 + 1e-12)
         assert abs(t[-1] + steps[-1] - 0.9) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(1.0, 100.0), st.floats(0.05, 0.9), st.floats(0.5, 2.0),
+           st.floats(0.01, 1.0), st.floats(0.01, 1.0),
+           st.sampled_from(["q_star", "q_upper", "singular"]))
+    def test_step_plan_lands_on_breakpoints(self, rho, T, alpha, f1, f2, which):
+        # eps1 and eps2 as fractions of their largest admissible values
+        pair = build_barriers(T, f1 * T / 10.0, f2 * min(T, 1.0 - T) / 10.0, alpha)
+        q = PiecewiseQ.singular(alpha, T) if which == "singular" else getattr(pair, which)
+        cfl = 0.02
+        steps, _, _, ends, _ = _step_plan(rho, T, q, cfl, None)
+        brk = [b for b in q.breakpoints() if 0.0 < b < T]
+        assert set(brk) <= set(ends.tolist())
+        assert ends[-1] == T
+        assert np.all(steps > 0.0)
+        starts = np.concatenate([[0.0], ends[:-1]])
+        free = ~np.isin(ends, brk + [T])
+        assert np.all(q.value(starts[free]) * steps[free] <= cfl / rho * (1.0 + 1e-12))
 
 
 class TestBarriers:
@@ -119,10 +135,11 @@ class TestSolver:
         assert fld.values.min() >= -fld.diagnostics["positivity_floor"] * fld.values.max()
 
     def test_resource_error(self):
-        tiny = PdeGrids(x_max=4.0, dx=1 / 32, max_steps=50)
+        # near T = 1 at alpha = 2 the CFL bound needs more steps than the budget
+        tiny = PdeGrids(x_max=4.0, dx=1 / 32, cfl_pot=0.02)
         with pytest.raises(NumericalFailure, match="reduce T"):
-            solve_pde(lambda x: gaussian_on_grid(x, 0.0, 0.2), rho=500.0, alpha=1.0,
-                      T=0.9, grids=tiny)
+            solve_pde(lambda x: gaussian_on_grid(x, 0.0, 0.2), rho=500.0, alpha=2.0,
+                      T=0.99, grids=tiny)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -247,6 +264,17 @@ class TestGalerkin:
         res = cross_validate_galerkin(sys_a1, 60.0, 0.4, 1.0, xi=0.0, n_modes=16,
                                       grids=FAST)
         assert res["rel_l2"] < 0.02
+
+    def test_tail_monitor_sees_even_source(self, sys_a1_small):
+        # at xi = 0 every odd coefficient is exactly zero, the top level of
+        # an even mode count among them; the monitor reads the top even one
+        n = 4
+        d_mat, a_mat, _ = galerkin_matrices(sys_a1_small, n)
+        q_star = build_barriers(0.4, 0.02, 0.015, 1.0).q_star
+        c0 = initial_coefficients(sys_a1_small, q_star.value(0.0), 0.0, n)
+        path = evolve_coefficients(c0, q_star, 60.0, d_mat, a_mat, 1.0)
+        assert path.coefficients[-1, -1] == 0.0
+        assert path.tail_ratio > 0.0
 
     def test_needs_enough_levels(self, sys_a1_small):
         with pytest.raises(DomainError):

@@ -8,7 +8,8 @@ loop that derives their seeds.  Every operation runs through
 `Operation.execute`, and its parameters are parsed and defaulted by the
 registry alone.  These tests read the source with `ast` and fail on a draw,
 a stream, a key, a replicate seed, a run or a parameter default made
-anywhere else.
+anywhere else.  The finite-difference grid options are exactly those the
+registry exposes.
 """
 
 import ast
@@ -108,3 +109,15 @@ def test_registry_parameters_declared_once():
     for name, op in operations.REGISTRY.items():
         unread = set(op.parameters) - reads(op.run.__name__, set())
         assert not unread, f"{name} declares but never reads {sorted(unread)}"
+
+
+def test_pde_grids_are_the_registry_grids():
+    """Every `PdeGrids` field is a parameter an operation exposes, so no
+    grid option can be set by tests alone."""
+    from dataclasses import fields
+
+    from bbmlab import operations
+    from bbmlab.pde import PdeGrids
+
+    exposed = {{"cfl": "cfl_pot"}.get(name, name) for name in operations._GRIDS}
+    assert {f.name for f in fields(PdeGrids)} == exposed
