@@ -103,7 +103,7 @@ def criterion_4(ctx):
     """Fundamental solution against the ground-state product form."""
     s = ctx.system(1.0, 3)
     kap = 2.0 / 3.0
-    grids = pde.PdeGrids(x_max=8.0, dx=1.0 / 256.0, cfl_pot=0.02)
+    grids = pde.PdeGrids(dx=1.0 / 256.0)
     devs = {}
     for rho in (200.0, 400.0):
         for xi in (0.0, 0.5):
@@ -124,8 +124,7 @@ def criterion_5(ctx):
     """Finite-difference / eigenbasis cross-validation."""
     s = ctx.system(1.0, 26, accuracy=1e-7)
     res = pde.cross_validate_galerkin(s, 100.0, 0.4, 1.0, xi=0.0, n_modes=24,
-                                      grids=pde.PdeGrids(x_max=8.0, dx=1 / 128,
-                                                         cfl_pot=0.02))
+                                      grids=pde.PdeGrids())
     ok = res["rel_l2"] <= 0.02
     return CriterionResult(5, "solver cross-validation", ok,
                            f"relative L2 distance {res['rel_l2']:.2e} (tol 2e-2)")
@@ -135,10 +134,10 @@ def criterion_5(ctx):
 def criterion_6(ctx):
     """Constant-coefficient closed form for the expansion coefficients."""
     s = ctx.system(1.0, 8, accuracy=1e-7)
-    d_mat, a_mat, _ = pde.galerkin_matrices(s, 8)
+    gaps, a_mat, _ = pde.galerkin_matrices(s, 8)
     q = pde.PiecewiseQ.constant(1.3, 0.3)
     c0 = pde.initial_coefficients(s, 1.3, 0.5, 8)
-    path = pde.evolve_coefficients(c0, q, 10.0, d_mat, a_mat, 1.0)
+    path = pde.evolve_coefficients(c0, q, 10.0, gaps, a_mat, 1.0)
     drift = abs(path.coefficients[-1, 0] - c0[0])
     lam = s.eigenvalues
     expect = c0[1] * math.exp(-10.0 * (lam[1] - lam[0]) * 0.3 * 1.3 ** (2.0 / 3.0))
@@ -153,14 +152,14 @@ def criterion_6(ctx):
 def criterion_7(ctx):
     """Coefficient norm never increases along any run."""
     s = ctx.system(1.0, 12, accuracy=1e-7)
-    d_mat, a_mat, _ = pde.galerkin_matrices(s, 12)
+    gaps, a_mat, _ = pde.galerkin_matrices(s, 12)
     worst = -math.inf
     for rho, T in ((30.0, 0.5), (100.0, 0.4)):
         _, e1, e2 = pde.default_epsilons(rho, T, 2.0 / 3.0)
         pair = pde.build_barriers(T, e1, e2, 1.0)
         for qq in (pair.q_star, pair.q_upper):
             c0 = pde.initial_coefficients(s, qq.value(0.0), 0.6, 12)
-            path = pde.evolve_coefficients(c0, qq, rho, d_mat, a_mat, 1.0)
+            path = pde.evolve_coefficients(c0, qq, rho, gaps, a_mat, 1.0)
             norms = path.norms()
             worst = max(worst, float(np.diff(norms).max() / norms[0]))
     return CriterionResult(7, "coefficient norm monotone", worst <= 1e-10,
@@ -171,13 +170,11 @@ def criterion_7(ctx):
 def criterion_8(ctx):
     """Monte Carlo bridge kernel against the deterministic solver."""
     p = ModelParams(alpha=1.0, beta=1.0, rate_family=RateFamily.POW_CLAMP)
-    grids = pde.PdeGrids(x_max=8.0, dx=1 / 128, cfl_pot=0.02)
-    cache = {}
+    grids = pde.PdeGrids()
     zs = []
     for y in (0.0, 0.5, 1.0):
         est = mc.estimate_gtilde(4.0, 0.0, 16.0, y, p, 100_000, 0.04, seed=505)
-        ref = pde.kernel_G_from_g(4.0, 0.0, 16.0, y, 1.0, 1.0, grids=grids,
-                                  _cache=cache)
+        ref = pde.kernel_G_from_g(4.0, 0.0, 16.0, y, 1.0, 1.0, grids=grids)
         zs.append((est.value - ref) / est.stderr)
     ok = all(abs(z) <= 3.0 for z in zs)
     return CriterionResult(8, "kernel cross-oracle", ok,

@@ -169,7 +169,7 @@ def _run_weyl(a, out: Path):
 
 def _run_pde(a, out: Path):
     g = pde.fundamental_solution_g(a["xi"], a["t_end"], a["rho"], a["alpha"], _grids(a))
-    return [g.field.export_csv(out / "field.csv"), g.field.export_json(out / "field.json")]
+    return [g.export_csv(out / "field.csv"), g.export_json(out / "field.json")]
 
 
 def _run_barriers(a, out: Path):
@@ -188,10 +188,10 @@ def _run_barriers(a, out: Path):
 
 def _run_galerkin(a, out: Path):
     sys_ = spectral.solve_spectrum(a["alpha"], a["n_modes"] + 2, accuracy=a["accuracy"])
-    d_mat, a_mat, defect = pde.galerkin_matrices(sys_, a["n_modes"])
+    gaps, a_mat, defect = pde.galerkin_matrices(sys_, a["n_modes"])
     payload = {
         "alpha": sys_.alpha,
-        "gap_diagonal": np.diag(d_mat).tolist(),
+        "gap_diagonal": gaps.tolist(),
         "mixing": a_mat.tolist(),
         "quadrature_defect": defect,
     }
@@ -244,7 +244,7 @@ def _run_simulate(a, out: Path):
     pop, stats = sim.run_continuous(p, a["t_end"], a["seed"], snapshot_times=a["snapshots"],
                                     cap=a["cap"], consts=_constants_or_none(p))
     return [pop.export_snapshots_csv(out / "snapshots.csv"),
-            sim.export_stats_csv(out / "stats.csv", [(0, stats)]),
+            sim.export_stats_csv(out / "stats.csv", stats),
             pop.export_manifest_json(out / "run.json", p)]
 
 
@@ -293,8 +293,8 @@ def _run_porism(a, out: Path):
 # Parameter groups shared by several operations.
 _MODEL = {"alpha": Param(_positive, 1.0), "beta": Param(_positive, 1.0),
           "family": Param(RateFamily, "SinPow")}
-_GRIDS = {"x_max": Param(_positive, 8.0), "dx": Param(_positive, 1.0 / 128.0),
-          "cfl": Param(_positive, 0.02)}
+_GRIDS = {"x_max": Param(_positive, pde.PdeGrids.x_max), "dx": Param(_positive, pde.PdeGrids.dx),
+          "cfl": Param(_positive, pde.PdeGrids.cfl_pot)}
 # mass and gtilde weight paths on the power-clamp family
 _KERNEL_MODEL = {**_MODEL, "family": Param(RateFamily, "PowClamp")}
 

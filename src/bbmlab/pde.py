@@ -50,15 +50,15 @@ class PiecewiseQ:
       power:  payload = alpha, the piece is (1-t)^{-alpha}
     """
 
-    def __init__(self, pieces, label="q"):
+    def __init__(self, pieces, label):
         self.pieces = list(pieces)
         self.label = label
         self.t0 = self.pieces[0][0]
         self.t1 = self.pieces[-1][1]
 
     @classmethod
-    def constant(cls, value, T, label="const"):
-        return cls([(0.0, T, "const", value)], label)
+    def constant(cls, value, T):
+        return cls([(0.0, T, "const", value)], label="const")
 
     @classmethod
     def singular(cls, alpha, T):
@@ -194,11 +194,13 @@ def default_epsilons(rho: float, T: float, kappa: float):
 
 @dataclass
 class PdeGrids:
+    """Space and time grids of a solve; the defaults are the CLI's."""
+
     x_max: float = 8.0
     dx: float = 1.0 / 128.0
     # enforce q(t) * dt <= cfl_pot / rho; this also caps the per-step decay
     # phase of the dominant mode, which controls the time-integration bias
-    cfl_pot: float = 0.005
+    cfl_pot: float = 0.02
 
 
 @dataclass
@@ -207,6 +209,8 @@ class PdeField:
 
     For gauged runs the slices hold w = u * exp(-log_gauge); log_gauge is
     the (negative) log of the accumulated integrating factor, 0 otherwise.
+    Called at x, it is the final u there; for a narrow-Gaussian start, as
+    built by fundamental_solution_g, that is g(0, xi; T, x).
     """
 
     time_grid: np.ndarray
@@ -220,6 +224,19 @@ class PdeField:
 
     def final(self) -> np.ndarray:
         return self.values[-1]
+
+    def __call__(self, xq):
+        return self.renormalized(xq) * math.exp(self.log_gauge)
+
+    def renormalized(self, xq):
+        """The final stored slice at xq: exp(lambda_0 rho int q^{2/(2+alpha)})
+        u(T, xq) for gauged runs, plain u(T, xq) when ungauged."""
+        x = self.space_grid
+        xq_arr = np.asarray(xq, dtype=float)
+        if np.any(np.abs(xq_arr) > x[-1]):
+            raise DomainError(f"evaluation outside the grid [-{x[-1]}, {x[-1]}]")
+        out = np.interp(xq_arr, x, self.final())
+        return float(out) if np.isscalar(xq) else out
 
     def mass(self) -> np.ndarray:
         return np.trapezoid(self.values, self.space_grid, axis=1)
@@ -236,7 +253,7 @@ class PdeField:
             "x_max": float(self.space_grid[-1]),
             "dx": float(self.space_grid[1] - self.space_grid[0]),
             "times": [float(t) for t in self.time_grid],
-            "diagnostics": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+            "diagnostics": {k: (float(v) if isinstance(v, (float, np.floating)) else v)
                             for k, v in self.diagnostics.items()},
         })
 
@@ -321,7 +338,7 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
               gauge_lambda0: float | None = None) -> PdeField:
     """TR-BDF2 evolution of the killed diffusion, stage-frozen q.
 
-    `initial` is a nonnegative density on the space grid (array or callable).
+    `initial` maps the space grid to a nonnegative density on it.
     Each step runs a trapezoidal substep to t + gamma*dt followed by a BDF2
     completion (gamma = 2 - sqrt 2).  The composite is second order and
     L-stable: a plain trapezoidal scheme leaves the grid's Nyquist mode
@@ -347,7 +364,7 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
     m = int(round(2.0 * grids.x_max / grids.dx))
     x = np.linspace(-grids.x_max, grids.x_max, m + 1)
     h = x[1] - x[0]
-    u = np.asarray(initial(x) if callable(initial) else initial, dtype=float).copy()
+    u = np.asarray(initial(x), dtype=float).copy()
     if u.shape != x.shape:
         raise ConfigurationError(f"initial shape {u.shape} does not match grid {x.shape}")
     if u.min() < 0.0 or not np.isfinite(u).all():
@@ -483,41 +500,11 @@ def gaussian_on_grid(x: np.ndarray, center: float, width: float) -> np.ndarray:
     return g / mass
 
 
-@dataclass
-class FundamentalSolution:
-    """g(0, xi; T, .) approximated from a width-2dx Gaussian initial mass."""
-
-    xi: float
-    T: float
-    rho: float
-    alpha: float
-    field: PdeField
-    width: float
-
-    def __call__(self, xq):
-        out = self.renormalized(xq)
-        factor = math.exp(self.field.log_gauge)
-        return out * factor
-
-    def renormalized(self, xq):
-        """exp(lambda_0 rho int q^{2/(2+alpha)}) g(0,xi;T,x) for gauged runs
-        (the raw stored field); equals plain g when ungauged."""
-        x = self.field.space_grid
-        xq_arr = np.asarray(xq, dtype=float)
-        if np.any(np.abs(xq_arr) > x[-1]):
-            raise DomainError(f"evaluation outside the grid [-{x[-1]}, {x[-1]}]")
-        out = np.interp(xq_arr, x, self.field.final())
-        return float(out) if np.isscalar(xq) else out
-
-    def integral(self) -> float:
-        w_int = float(np.trapezoid(self.field.final(), self.field.space_grid))
-        return w_int * math.exp(self.field.log_gauge)
-
-
 def fundamental_solution_g(xi: float, T: float, rho: float, alpha: float,
                            grids: PdeGrids | None = None, q: PiecewiseQ | None = None,
                            potential_off: bool = False,
-                           gauge_lambda0: float | None = None) -> FundamentalSolution:
+                           gauge_lambda0: float | None = None) -> PdeField:
+    """g(0, xi; T, .) approximated from a width-2dx Gaussian initial mass."""
     grids = grids or PdeGrids()
     if abs(xi) > grids.x_max * 0.8:
         raise DomainError(f"source xi={xi} too close to the wall x_max={grids.x_max}")
@@ -526,9 +513,8 @@ def fundamental_solution_g(xi: float, T: float, rho: float, alpha: float,
     def init(x):
         return gaussian_on_grid(x, xi, width)
 
-    fld = solve_pde(init, rho, alpha, T, grids, q=q, potential_off=potential_off,
-                    gauge_lambda0=gauge_lambda0)
-    return FundamentalSolution(xi=xi, T=T, rho=rho, alpha=alpha, field=fld, width=width)
+    return solve_pde(init, rho, alpha, T, grids, q=q, potential_off=potential_off,
+                     gauge_lambda0=gauge_lambda0)
 
 
 def rho_for_kernel(t: float, beta: float, alpha: float) -> float:
@@ -565,25 +551,25 @@ def kernel_G_from_g(s: float, x: float, t: float, y: float, beta: float, alpha: 
 # ---------------------------------------------------------------------------
 
 def galerkin_matrices(sys: EigenSystem, n_modes: int):
-    """Diagonal gap matrix D and antisymmetric mixing matrix A.
+    """Gap vector d and antisymmetric mixing matrix A.
 
-    D = diag(lambda_i - lambda_0).  A[i, j] = (<phi_j, x phi_i'> -
-    <x phi_j', phi_i>) / (2 (2+alpha)) for levels of the same parity (for
-    opposite parities the integrand is odd and the integral zero), with
-    derivatives by 4th-order centered differences and integrals by the
-    composite Simpson rule over the full-line grid, Cartwright's correction
-    on its last interval (the rule of scipy's `simpson`).  Every
-    same-parity integrand is even, so the rule is folded onto the half line
-    and two products give all integrals: M[i, j] = <x phi_i, phi_j'> and
-    G[i, j] = <phi_i, phi_j>, so that A = (M^T - M) / (2 (2+alpha)).
-    Integration by parts makes M + M^T + G vanish between distinct levels;
-    the largest such residual over same-parity pairs is returned as the
-    quadrature defect and must stay below 1e-5.
+    d_i = lambda_i - lambda_0, the diagonal of the gap matrix D.
+    A[i, j] = (<phi_j, x phi_i'> - <x phi_j', phi_i>) / (2 (2+alpha)) for
+    levels of the same parity (for opposite parities the integrand is odd
+    and the integral zero), with derivatives by 4th-order centered
+    differences and integrals by the composite Simpson rule over the
+    full-line grid, Cartwright's correction on its last interval (the rule
+    of scipy's `simpson`).  Every same-parity integrand is even, so the
+    rule is folded onto the half line and two products give all integrals:
+    M[i, j] = <x phi_i, phi_j'> and G[i, j] = <phi_i, phi_j>, so that
+    A = (M^T - M) / (2 (2+alpha)).  Integration by parts makes M + M^T + G
+    vanish between distinct levels; the largest such residual over
+    same-parity pairs is returned as the quadrature defect and must stay
+    below 1e-5.
     """
     if sys.n_levels < n_modes:
         raise DomainError(f"system holds {sys.n_levels} levels, need {n_modes}")
     lam = sys.eigenvalues[:n_modes]
-    d_diag = lam - lam[0]
 
     g, h = sys.grid, sys.h_grid
     n = len(g)
@@ -603,7 +589,7 @@ def galerkin_matrices(sys: EigenSystem, n_modes: int):
     defect = float(np.abs((m + m.T + gram)[same & (idx[:, None] != idx)]).max(initial=0.0))
     if defect > 1e-5:
         raise NumericalFailure(f"mixing-matrix quadrature defect {defect:.2e} > 1e-5")
-    return np.diag(d_diag), a_mat, defect
+    return lam - lam[0], a_mat, defect
 
 
 @dataclass
@@ -617,10 +603,10 @@ class CoefficientPath:
 
 
 def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
-                        d_matrix: np.ndarray, a_matrix: np.ndarray,
+                        gaps: np.ndarray, a_matrix: np.ndarray,
                         alpha: float) -> CoefficientPath:
     """Exact-factor Strang evolution of c' = (-rho q^{2/(2+a)} D + (q'/q) A) c
-    over the whole of q's interval.
+    over the whole of q's interval, with D = diag(gaps).
 
     Per step [a,b]:  diagonal half with weight rho*int q^{2/(2+alpha)},
     orthogonal mixing expm(log(q(b)/q(a)) A), diagonal half.  Constant-q
@@ -629,9 +615,8 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
     """
     c = np.asarray(c0, dtype=float).copy()
     n_modes = len(c)
-    if d_matrix.shape[0] != n_modes or a_matrix.shape[0] != n_modes:
+    if len(gaps) != n_modes or a_matrix.shape[0] != n_modes:
         raise ConfigurationError("coefficient count does not match matrices")
-    d_diag = np.diag(d_matrix)
     p = 2.0 / (2.0 + alpha)
 
     # per-piece substeps: constant pieces are exact in one step
@@ -648,7 +633,7 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
     path = [c.copy()]
     for a, b in zip(grid[:-1], grid[1:]):
         w = rho * q.integral_pow(p, a, b)
-        half = np.exp(-0.5 * w * d_diag)
+        half = np.exp(-0.5 * w * gaps)
         ratio = q.value(b) / q.value(a)
         c = half * c
         if ratio != 1.0:
@@ -667,14 +652,14 @@ def evolve_coefficients(c0: Sequence[float], q: PiecewiseQ, rho: float,
 
 def initial_coefficients(sys: EigenSystem, q0: float, xi: float, n_modes: int) -> np.ndarray:
     """c_n(0) = phi_{q(0), n}(xi)."""
-    scaled = rescale_to_q(sys, q0) if q0 != 1.0 else sys
+    scaled = rescale_to_q(sys, q0)
     return np.array([float(scaled.phi(n, xi)) for n in range(n_modes)])
 
 
 def reconstruct_profile(sys: EigenSystem, q_val: float, coeffs: np.ndarray,
                         x: np.ndarray) -> np.ndarray:
     """Sum_n c_n phi_{q, n}(x) on an arbitrary grid."""
-    scaled = rescale_to_q(sys, q_val) if q_val != 1.0 else sys
+    scaled = rescale_to_q(sys, q_val)
     out = np.zeros_like(np.asarray(x, dtype=float))
     for n, cn in enumerate(coeffs):
         if cn != 0.0:
@@ -699,13 +684,13 @@ def cross_validate_galerkin(sys: EigenSystem, rho: float, T: float, alpha: float
 
     lam0 = sys.eigenvalues[0]
     gsol = fundamental_solution_g(xi, T, rho, alpha, grids, q=qs, gauge_lambda0=lam0)
-    x = gsol.field.space_grid
-    w_fd = gsol.field.final()  # gauged field is the rescaled profile directly
+    x = gsol.space_grid
+    w_fd = gsol.final()  # gauged field is the rescaled profile directly
 
     for attempt in range(2):
         c0 = initial_coefficients(sys, qs.value(0.0), xi, n_modes)
-        dmat, amat, _ = galerkin_matrices(sys, n_modes)
-        cpath = evolve_coefficients(c0, qs, rho, dmat, amat, alpha)
+        gaps, amat, _ = galerkin_matrices(sys, n_modes)
+        cpath = evolve_coefficients(c0, qs, rho, gaps, amat, alpha)
         if cpath.tail_ratio < 1e-6 or sys.n_levels < int(1.5 * n_modes):
             break
         n_modes = int(1.5 * n_modes)
@@ -714,5 +699,4 @@ def cross_validate_galerkin(sys: EigenSystem, rho: float, T: float, alpha: float
     num = np.trapezoid((w_fd - w_gal) ** 2, x)
     den = np.trapezoid(w_fd ** 2, x)
     rel_l2 = math.sqrt(num / den)
-    return {"rel_l2": rel_l2, "n_modes": n_modes, "tail_ratio": cpath.tail_ratio,
-            "path": cpath, "w_fd": w_fd, "w_gal": w_gal, "x": x}
+    return {"rel_l2": rel_l2, "n_modes": n_modes, "tail_ratio": cpath.tail_ratio}

@@ -119,15 +119,15 @@ class Population:
             late = late[self.birth[idx[late]] > s]
         return idx
 
-    def export_snapshots_csv(self, path, replicate: int = 0):
+    def export_snapshots_csv(self, path):
         times = sorted(self.snapshots)
         alive = [self.snapshots[t] for t in times]  # (n_alive, x, y) per time
         counts = [n for n, _, _ in alive]
         rows = np.concatenate([np.empty(0, dtype=np.int64)] + [np.arange(n) for n in counts])
-        # the replicate and time cells repeat: format each value once and
-        # pass repeated references to its text
+        # every file holds one run, replicate 0; the replicate and time cells
+        # repeat: format each value once and pass repeated references to its text
         return write_csv(path, ["replicate", "time", "lineage_id", "x", "y"], [
-            [str(replicate)] * sum(counts),
+            ["0"] * sum(counts),
             list(chain.from_iterable(repeat(str(t), n) for t, n in zip(times, counts))),
             HexIds(self.lid_hi[rows], self.lid_lo[rows]),
             np.concatenate([np.empty(0)] + [x[:n] for n, x, _ in alive]),
@@ -147,10 +147,10 @@ class Population:
         })
 
 
-def export_stats_csv(path, stats_by_replicate):
-    """stats_by_replicate: iterable of (replicate, [ExtremalStats...])."""
-    rows = [(rep, st.t, st.m_t, st.max_x, st.argmax_y, st.z_t, int(st.barrier_ok))
-            for rep, stats in stats_by_replicate for st in stats]
+def export_stats_csv(path, stats):
+    """One run's [ExtremalStats...], written as replicate 0."""
+    rows = [(0, st.t, st.m_t, st.max_x, st.argmax_y, st.z_t, int(st.barrier_ok))
+            for st in stats]
     return write_csv(path, ["replicate", "t", "M_t", "max_X", "argmax_Y", "Z_t", "barrier_ok"],
                      list(zip(*rows)))
 

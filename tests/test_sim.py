@@ -395,14 +395,14 @@ class TestPorism:
 
     def test_stats_export(self, tmp_path):
         pop, stats = run_continuous(P_SIN, 4.0, 3, snapshot_times=[2.0])
-        export_stats_csv(tmp_path / "s.csv", [(0, stats)])
+        export_stats_csv(tmp_path / "s.csv", stats)
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "replicate,t,M_t,max_X,argmax_Y,Z_t,barrier_ok"
         assert len(lines) == 3
 
     def test_snapshot_export(self, tmp_path):
         pop, _ = run_continuous(P_SIN, 3.0, 3, snapshot_times=[1.5])
-        pop.export_snapshots_csv(tmp_path / "snap.csv", replicate=2)
+        pop.export_snapshots_csv(tmp_path / "snap.csv")
         head = (tmp_path / "snap.csv").read_text().splitlines()
         assert head[0] == "replicate,time,lineage_id,x,y"
-        assert head[1].startswith("2,1.5,")
+        assert head[1].startswith("0,1.5,")

@@ -112,12 +112,14 @@ def test_registry_parameters_declared_once():
 
 
 def test_pde_grids_are_the_registry_grids():
-    """Every `PdeGrids` field is a parameter an operation exposes, so no
-    grid option can be set by tests alone."""
+    """Every `PdeGrids` field is a parameter an operation exposes, with the
+    same default, so no grid option can be set by tests alone and a library
+    call without grids solves on the CLI's grids."""
     from dataclasses import fields
 
     from bbmlab import operations
     from bbmlab.pde import PdeGrids
 
-    exposed = {{"cfl": "cfl_pot"}.get(name, name) for name in operations._GRIDS}
-    assert {f.name for f in fields(PdeGrids)} == exposed
+    exposed = {{"cfl": "cfl_pot"}.get(name, name): param.default
+               for name, param in operations._GRIDS.items()}
+    assert {f.name: f.default for f in fields(PdeGrids)} == exposed
