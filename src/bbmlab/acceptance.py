@@ -1,7 +1,8 @@
 """The acceptance suite: sixteen numbered checks with pinned tolerances.
 
-Each criterion is a function returning a CriterionResult; the CLI prints
-one pass/fail line per criterion and pytest asserts them individually.
+Each criterion is a function returning a CriterionResult; `run_suite` runs
+and times them, the CLI prints one pass/fail line per criterion and pytest
+asserts them individually.
 Criteria are deterministic (fixed seeds everywhere), so a pass here is a
 regression guarantee, not a statistical statement.
 """
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc, pde, sim, spectral
+from .errors import ConfigurationError
 from .model import ModelParams, RateFamily, derived_constants
 
 AIRY_LEVELS = (1.0187929716474714, 2.338107410459767, 3.2481975821798366)
@@ -48,16 +50,6 @@ class AcceptanceContext:
         return self._cache[key]
 
 
-def _timed(fn):
-    def wrapper(ctx):
-        t0 = time.perf_counter()
-        out = fn(ctx)
-        out.runtime = time.perf_counter() - t0
-        return out
-    return wrapper
-
-
-@_timed
 def criterion_1(ctx):
     """Spectral golden values at alpha = 2 and alpha = 1."""
     s2 = ctx.system(2.0, 3)
@@ -70,7 +62,6 @@ def criterion_1(ctx):
                            f"|d(alpha=1)|={d1:.2e} (tol 1e-5)")
 
 
-@_timed
 def criterion_2(ctx):
     """Eigenvalue growth law across three alphas."""
     parts = []
@@ -84,7 +75,6 @@ def criterion_2(ctx):
     return CriterionResult(2, "growth-law agreement", ok, "; ".join(parts))
 
 
-@_timed
 def criterion_3(ctx):
     """Exact q-rescaling against direct solves at q in {0.5, 5}."""
     base = ctx.system(1.0, 5)
@@ -98,7 +88,6 @@ def criterion_3(ctx):
                            f"max relative mismatch {worst:.2e} (tol 1e-8)")
 
 
-@_timed
 def criterion_4(ctx):
     """Fundamental solution against the ground-state product form."""
     s = ctx.system(1.0, 3)
@@ -119,7 +108,6 @@ def criterion_4(ctx):
                            f"halving ratios={[f'{r:.2f}' for r in ratios]} (band [1.5, 3])")
 
 
-@_timed
 def criterion_5(ctx):
     """Finite-difference / eigenbasis cross-validation."""
     s = ctx.system(1.0, 26, accuracy=1e-7)
@@ -130,7 +118,6 @@ def criterion_5(ctx):
                            f"relative L2 distance {res['rel_l2']:.2e} (tol 2e-2)")
 
 
-@_timed
 def criterion_6(ctx):
     """Constant-coefficient closed form for the expansion coefficients."""
     s = ctx.system(1.0, 8, accuracy=1e-7)
@@ -148,7 +135,6 @@ def criterion_6(ctx):
                            f"first-mode decay mismatch {rel:.2e} (tol 1e-8)")
 
 
-@_timed
 def criterion_7(ctx):
     """Coefficient norm never increases along any run."""
     s = ctx.system(1.0, 12, accuracy=1e-7)
@@ -166,7 +152,6 @@ def criterion_7(ctx):
                            f"largest relative uptick {worst:.2e} (slack 1e-10)")
 
 
-@_timed
 def criterion_8(ctx):
     """Monte Carlo bridge kernel against the deterministic solver."""
     p = ModelParams(alpha=1.0, beta=1.0, rate_family=RateFamily.POW_CLAMP)
@@ -181,7 +166,6 @@ def criterion_8(ctx):
                            f"z-scores {[f'{z:+.2f}' for z in zs]} (tol 3)")
 
 
-@_timed
 def criterion_9(ctx):
     """Total-mass envelope stays in a factor-2 band along the ladder."""
     p = ModelParams(alpha=1.0, beta=1.0, rate_family=RateFamily.POW_CLAMP)
@@ -200,7 +184,6 @@ def criterion_9(ctx):
                            f"median {med:.3f} (factor-2 band)")
 
 
-@_timed
 def criterion_10(ctx):
     """Quadratic-angle decay exponents."""
     r1 = mc.alpha2_exponent_fit(1.0, [2.0, 4.0, 8.0, 16.0], 512.0, 30_000, 0.1, seed=99)
@@ -211,7 +194,6 @@ def criterion_10(ctx):
                            f"beta=3 slope {r3['slope']:.4f} (1.00 +- 0.10)")
 
 
-@_timed
 def criterion_11(ctx):
     """Bridge barrier formula against its unbiased MC estimator."""
     zs = []
@@ -224,7 +206,6 @@ def criterion_11(ctx):
                            f"z-scores {[f'{z:+.2f}' for z in zs]} (tol 3)")
 
 
-@_timed
 def criterion_12(ctx):
     """Single- and two-spine moment identities."""
     p_sin = ModelParams(alpha=1.0, rate_family=RateFamily.SIN_POW)
@@ -243,7 +224,6 @@ def criterion_12(ctx):
                            f"{rel2:.3f} (tol 0.05); inhomogeneous z={r3['z']:+.2f} (tol 3)")
 
 
-@_timed
 def criterion_13(ctx):
     """Exact lineage inclusion chain across the angular exponent."""
     try:
@@ -256,7 +236,6 @@ def criterion_13(ctx):
                            f"chain verified at every snapshot; sizes {sizes}")
 
 
-@_timed
 def criterion_14(ctx):
     """Lattice model: exact doubling and offspring-frequency CIs."""
     p_hom = ModelParams(alpha=1.0, rate_family=RateFamily.HOMOGENEOUS)
@@ -295,7 +274,6 @@ def criterion_14(ctx):
                            f"(99% CI bound 2.576)")
 
 
-@_timed
 def criterion_15(ctx):
     """Extremes regression band at desk scale.
 
@@ -321,7 +299,6 @@ def criterion_15(ctx):
                            f"(band [0, 1] shrinking: {'ok' if gap_ok else 'FAIL'})")
 
 
-@_timed
 def criterion_16(ctx):
     """Byte-identical reruns of every stochastic operation."""
     import tempfile
@@ -345,15 +322,15 @@ def criterion_16(ctx):
         "porism": {"alpha": 1.0, "t_list": "2,4", "replicates": 20, "seed": 5},
     }
     mismatches = []
-    for name, args in quick.items():
-        op = operations.REGISTRY[name]
-        outputs = []
-        for run in range(2):
-            with_dir = Path(tempfile.mkdtemp(prefix=f"det_{name}_{run}_"))
-            files = op.execute(args, with_dir)
-            outputs.append({Path(f).name: Path(f).read_bytes() for f in files})
-        if outputs[0] != outputs[1]:
-            mismatches.append(name)
+    with tempfile.TemporaryDirectory(prefix="det_") as tmp:
+        for name, args in quick.items():
+            op = operations.REGISTRY[name]
+            outputs = []
+            for run in range(2):
+                files = op.execute(args, Path(tmp) / f"{name}_{run}")
+                outputs.append({Path(f).name: Path(f).read_bytes() for f in files})
+            if outputs[0] != outputs[1]:
+                mismatches.append(name)
     ok = not mismatches
     detail = "all stochastic operations byte-identical on rerun" if ok else \
         f"mismatched outputs: {mismatches}"
@@ -367,10 +344,19 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_suite(numbers=None, ctx=None):
+    """The results of the criteria numbered in `numbers` (all when None), in
+    order on one context, each with its runtime; ConfigurationError names a
+    number that is no criterion."""
+    unknown = sorted(set(numbers or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if unknown:
+        raise ConfigurationError(
+            f"no criterion {unknown[0]} (criteria are 1-{len(ALL_CRITERIA)})")
     ctx = ctx or AcceptanceContext()
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if numbers and i not in numbers:
             continue
+        t0 = time.perf_counter()
         results.append(fn(ctx))
+        results[-1].runtime = time.perf_counter() - t0
     return results

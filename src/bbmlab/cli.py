@@ -75,7 +75,7 @@ def main(argv=None) -> int:
             from .acceptance import run_suite
 
             numbers = None
-            if args.only:
+            if args.only is not None:  # an empty list is an error, not the whole suite
                 try:
                     numbers = {int(v) for v in args.only.split(",")}
                 except ValueError:

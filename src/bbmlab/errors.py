@@ -17,9 +17,4 @@ class DomainError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A solver did not converge, a computed quantity failed its accuracy
-    requirement, or a run would exceed its step budget; carries diagnostic
-    state when available."""
-
-    def __init__(self, message, estimates=None):
-        super().__init__(message)
-        self.estimates = estimates
+    requirement, or a run would exceed its step budget."""

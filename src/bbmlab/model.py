@@ -35,23 +35,18 @@ class RateFamily(str, Enum):
 
 
 def wrap_angle(theta):
-    """Wrap an angle to (-pi, pi].
+    """Wrap an angle to (-pi, pi], the boundary -pi mapped to +pi; a float
+    for a scalar, an array otherwise.
 
-    Scalars use math.remainder, which is exact in IEEE arithmetic; the
-    boundary -pi is mapped to +pi (half-open convention).  Arrays follow
-    the same algorithm with fmod (exact) and may round by one ulp in the
-    final add/subtract of 2*pi.
+    Exact in IEEE arithmetic: fmod by 2*pi is exact, and the one 2*pi added
+    or subtracted after it is too, by Sterbenz's lemma, since the value it
+    corrects has magnitude in [pi, 2*pi).  So the result equals the exact
+    IEEE remainder by 2*pi with -pi sent to +pi, signed zeros included.
     """
-    if np.isscalar(theta):
-        r = math.remainder(theta, TAU)
-        if r <= -math.pi:
-            r += TAU
-        return r
-    th = np.asarray(theta, dtype=float)
-    r = np.fmod(th, TAU)
+    r = np.fmod(np.asarray(theta, dtype=float), TAU)
     r = np.where(r > math.pi, r - TAU, r)
     r = np.where(r <= -math.pi, r + TAU, r)
-    return r
+    return r if r.ndim else float(r)
 
 
 @dataclass(frozen=True)

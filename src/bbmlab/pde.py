@@ -90,7 +90,8 @@ class PiecewiseQ:
         return (1.0 - t) ** (-pay)
 
     def integral_pow(self, p: float, a: float, b: float) -> float:
-        """int_a^b q(s)^p ds, exact per piece (5-pt Gauss on linear pieces)."""
+        """int_a^b q(s)^p ds, exact per piece (closed-form antiderivatives of
+        constant, power and linear pieces)."""
         if b < a:
             return -self.integral_pow(p, b, a)
         total = 0.0

@@ -99,7 +99,7 @@ class Population:
     rng_root_seed: int
     cap: int
     truncated: bool = False
-    snapshots: dict = field(default_factory=dict)  # time -> (n_alive, x, y)
+    snapshots: dict = field(default_factory=dict)  # time -> (x, y) of the alive
     split_log: list = field(default_factory=list)  # (ledger idx, time) if recorded
 
     @property
@@ -121,8 +121,8 @@ class Population:
 
     def export_snapshots_csv(self, path):
         times = sorted(self.snapshots)
-        alive = [self.snapshots[t] for t in times]  # (n_alive, x, y) per time
-        counts = [n for n, _, _ in alive]
+        alive = [self.snapshots[t] for t in times]  # (x, y) per time
+        counts = [len(x) for x, _ in alive]
         rows = np.concatenate([np.empty(0, dtype=np.int64)] + [np.arange(n) for n in counts])
         # every file holds one run, replicate 0; the replicate and time cells
         # repeat: format each value once and pass repeated references to its text
@@ -130,8 +130,8 @@ class Population:
             ["0"] * sum(counts),
             list(chain.from_iterable(repeat(str(t), n) for t, n in zip(times, counts))),
             HexIds(self.lid_hi[rows], self.lid_lo[rows]),
-            np.concatenate([np.empty(0)] + [x[:n] for n, x, _ in alive]),
-            np.concatenate([np.empty(0)] + [y[:n] for n, _, y in alive]),
+            np.concatenate([np.empty(0)] + [x for x, _ in alive]),
+            np.concatenate([np.empty(0)] + [y for _, y in alive]),
         ])
 
     def export_manifest_json(self, path, params: ModelParams):
@@ -321,7 +321,7 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
     snapshots: dict = {}
     truncated = False
     reached = 0.0
-    barrier_ok_so_far = True
+    barrier_ok = True
 
     for t_b, is_snap in _slice_boundaries(snaps):
         ok = led.drain_until(t_b, params, cap, record_splits, split_log,
@@ -332,9 +332,9 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
         led.materialize(np.arange(led.size), t_b)
         reached = t_b
         if is_snap:
-            snapshots[t_b] = (led.size, led.x.copy(), led.y.copy())
-            barrier_ok_so_far &= (t_b < 1.0) or (led.x.max() <= SQRT2 * t_b - 1.0)
-            stats.append(_extremal_stats(t_b, led, consts, barrier_ok_so_far))
+            snapshots[t_b] = (led.x.copy(), led.y.copy())
+            stats.append(_extremal_stats(t_b, *snapshots[t_b], consts, barrier_ok))
+            barrier_ok = stats[-1].barrier_ok
 
     pop = Population(
         time=reached, lid_hi=led.lid_hi, lid_lo=led.lid_lo, parent=led.parent,
@@ -468,7 +468,8 @@ def run_discrete(params: ModelParams, n_end: int, seed: int,
 @dataclass(frozen=True)
 class PathFunctional:
     """Supported shapes: one; x_indicator (X_t > x0); r_indicator (R_t > r0);
-    x_cylinder (X(s_i) > a_i at given snapshot times)."""
+    x_cylinder (X(s_i) > a_i at given snapshot times).  Only x_cylinder
+    reads the path before t: the others have no times."""
 
     kind: str
     x0: float = 0.0
@@ -477,39 +478,36 @@ class PathFunctional:
     thresholds: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in ("one", "x_indicator", "r_indicator", "x_cylinder"):
+            raise ConfigurationError(f"unsupported functional {self.kind!r}")
+        if self.times and self.kind != "x_cylinder":
+            raise ConfigurationError(f"{self.kind} takes no times, got {len(self.times)}")
         if len(self.times) != len(self.thresholds):
             raise ConfigurationError(
                 f"{len(self.times)} cylinder times but {len(self.thresholds)} thresholds")
 
-    def snapshot_times(self, t_end):
-        return tuple(self.times) if self.kind == "x_cylinder" else ()
-
     def on_population(self, pop: Population, t_end: float) -> float:
         """Sum of F over the particles alive at t_end, each path read at the
         snapshots of its ancestors."""
-        n_alive = pop.snapshots[t_end][0]
-        xs_by_time, ys_by_time = {}, {}
-        for s in set(self.snapshot_times(t_end)) | {t_end}:
-            _, xs, ys = pop.snapshots[s]
+        n_alive = len(pop.snapshots[t_end][0])
+        rows = []
+        for s in (*self.times, t_end):
+            xs, ys = pop.snapshots[s]
             anc = pop.ancestors(n_alive, s)
-            xs_by_time[s], ys_by_time[s] = xs[anc], ys[anc]
-        return float(self.on_paths(xs_by_time, ys_by_time, t_end).sum())
+            rows.append((xs[anc], ys[anc]))
+        return float(self.on_paths(*np.stack(rows, axis=1)).sum())
 
-    def on_paths(self, xs_by_time: dict, ys_by_time: dict, t_end: float):
+    def on_paths(self, xs, ys):
+        """F on the paths that are the columns of xs and ys: row i holds the
+        positions at `times[i]` and the last row those at the end time."""
         if self.kind == "one":
-            some = next(iter(xs_by_time.values()))
-            return np.ones_like(some)
+            return np.ones_like(xs[-1])
         if self.kind == "x_indicator":
-            return (xs_by_time[t_end] > self.x0).astype(float)
+            return (xs[-1] > self.x0).astype(float)
         if self.kind == "r_indicator":
-            r = np.hypot(xs_by_time[t_end], ys_by_time[t_end])
-            return (r > self.r0).astype(float)
-        if self.kind == "x_cylinder":
-            ok = np.ones_like(xs_by_time[t_end], dtype=bool)
-            for s, a in zip(self.times, self.thresholds):
-                ok &= xs_by_time[s] > a
-            return ok.astype(float)
-        raise ConfigurationError(f"unsupported functional {self.kind!r}")
+            return (np.hypot(xs[-1], ys[-1]) > self.r0).astype(float)
+        above = xs[:-1] > np.reshape(self.thresholds, (-1, 1))
+        return np.all(above, axis=0).astype(float)
 
 
 def _grid_column(grid, s):
@@ -524,20 +522,18 @@ def _mc_spine_one(params, t_end, functional, n_mc, seed, dt=0.01):
     """Single-spine expectation E[F(path) exp(int_0^t b(theta_s) ds)]."""
     m = int(round(t_end / dt))
     grid = np.linspace(0.0, t_end, m + 1)
-    columns = {s: _grid_column(grid, s) for s in functional.snapshot_times(t_end)}
-    columns[t_end] = m
+    columns = [_grid_column(grid, s) for s in functional.times] + [m]
     rate = lambda col, r: branching_rate(np.arctan2(col[1], col[0]), params)
 
     def sample(rng, size):
         integral = _Trapezoid(grid, rate)
-        kept = {}
+        kept = {}  # grid column -> path column
         for j, col in _march(rng, grid, np.zeros((2, size))):
             integral.add(j, col)
-            if j in columns.values():
+            if j in columns:
                 kept[j] = col
-        xs = {s: kept[j][0] for s, j in columns.items()}
-        ys = {s: kept[j][1] for s, j in columns.items()}
-        return functional.on_paths(xs, ys, t_end) * np.exp(integral.total)
+        rows = np.stack([kept[j] for j in columns], axis=1)
+        return functional.on_paths(*rows) * np.exp(integral.total)
 
     mean, stderr, _ = _chunked_mean(seed, n_mc, sample)
     return mean, stderr
@@ -554,18 +550,23 @@ def _compare(sims, mc_mean, mc_se, n_mc):
             "z": z, "n_sim": n_sim, "n_mc": n_mc}
 
 
+def _check_budget(t, t_max, n_sim, n_mc):
+    """ConfigurationError unless t <= t_max and both sample sizes are >= 1."""
+    if t > t_max:
+        raise ConfigurationError(f"t too large for the replicate budget (use t <= {t_max:g})")
+    if n_sim < 1 or n_mc < 1:
+        raise ConfigurationError(f"need n_sim >= 1 and n_mc >= 1, got {n_sim}, {n_mc}")
+
+
 def many_to_one_check(params: ModelParams, t: float, functional: PathFunctional,
                       n_sim: int, n_mc: int, seed: int) -> dict:
     """Simulator average of sum_u F(u) against the single-spine expectation
     E[F exp(int b)]; reports both sides with standard errors and a z-score."""
-    if t > 3.0:
-        raise ConfigurationError("t too large for the replicate budget (use t <= 3)")
-    if n_sim < 1 or n_mc < 1:
-        raise ConfigurationError(f"need n_sim >= 1 and n_mc >= 1, got {n_sim}, {n_mc}")
+    _check_budget(t, 3.0, n_sim, n_mc)
     # the spine side first: it rejects snapshot times off its grid
     mc_mean, mc_se = _mc_spine_one(params, t, functional, n_mc, seed + 1)
     sims = np.array([functional.on_population(pop, t) for pop, _ in _replicates(
-        params, t, seed, n_sim, snapshot_times=functional.snapshot_times(t))])
+        params, t, seed, n_sim, snapshot_times=functional.times)])
     return _compare(sims, mc_mean, mc_se, n_mc)
 
 
@@ -597,8 +598,8 @@ def _mc_spine_two(params, t_end, f_fun, g_fun, n_mc, seed, dt=0.01):
                 int1_at_branch = np.where(at_branch, int1.total, int1_at_branch)
             int2.add(j, np.where(branch_col < j, free + shift, spine1))
         spine2 = free + shift
-        fvals = f_fun({t_end: spine1[0]}, {t_end: spine1[1]}, t_end)
-        gvals = g_fun({t_end: spine2[0]}, {t_end: spine2[1]}, t_end)
+        fvals = f_fun(spine1[:1], spine1[1:])
+        gvals = g_fun(spine2[:1], spine2[1:])
         weight = np.exp(int1.total + (int2.total - int1_at_branch))
         return 2.0 * t_end * b_at_branch * weight * fvals * gvals
 
@@ -611,19 +612,15 @@ def many_to_two_check(params: ModelParams, t: float, f: PathFunctional,
     """Simulator average of sum_{u != v} F(u) G(v) against the two-spine
     integral with branch time r, weight 2 b(theta^1_r) exp(int_0^t b^1 +
     int_r^t b^2)."""
-    if t > 2.5:
-        raise ConfigurationError("t too large for the replicate budget (use t <= 2.5)")
-    if n_sim < 1 or n_mc < 1:
-        raise ConfigurationError(f"need n_sim >= 1 and n_mc >= 1, got {n_sim}, {n_mc}")
+    _check_budget(t, 2.5, n_sim, n_mc)
     for fn in (f, g):
         if fn.kind == "x_cylinder":
             raise ConfigurationError("cylinder functionals unsupported in the pair check")
     sims = np.empty(n_sim)
     for rep, (pop, _) in enumerate(_replicates(params, t, seed, n_sim)):
-        n_alive, xs, ys = pop.snapshots[t]
-        alive_x, alive_y = {t: xs[:n_alive]}, {t: ys[:n_alive]}
-        fv = f.on_paths(alive_x, alive_y, t)
-        gv = g.on_paths(alive_x, alive_y, t)
+        xs, ys = pop.snapshots[t]
+        fv = f.on_paths(xs[None], ys[None])
+        gv = g.on_paths(xs[None], ys[None])
         sims[rep] = fv.sum() * gv.sum() - (fv * gv).sum()
     mc_mean, mc_se = _mc_spine_two(params, t, f.on_paths, g.on_paths, n_mc, seed + 1)
     return _compare(sims, mc_mean, mc_se, n_mc)
@@ -678,24 +675,26 @@ def porism_probe(params: ModelParams, t_list: Sequence[float], replicates: int,
     return report
 
 
-def _extremal_stats(t_b, led, consts, barrier_ok):
-    r = np.hypot(led.x, led.y)
+def _extremal_stats(t, x, y, consts, barrier_ok):
+    """The extremes of the snapshot (x, y) at time t.  `barrier_ok` is the
+    flag of the snapshots before; the result's flag adds max X <= sqrt(2) t
+    - 1 at this one (t < 1 passes)."""
+    r = np.hypot(x, y)
     imax = int(np.argmax(r))
+    max_x = float(x.max())
     z_t = math.nan
     if consts is not None:
-        a = SQRT2 * t_b - led.x
-        lp = consts.theta1 * t_b ** (1.0 - consts.kappa) - consts.kappa / 4.0 * math.log(t_b)
+        a = SQRT2 * t - x
+        lp = consts.theta1 * t ** (1.0 - consts.kappa) - consts.kappa / 4.0 * math.log(t)
         pos = a > 0
         total = 0.0
         if np.any(pos):
-            lv, sg = logsumexp(np.log(a[pos]) - SQRT2 * a[pos], return_sign=True)
-            total += sg * math.exp(lp + lv)
+            total += math.exp(lp + logsumexp(np.log(a[pos]) - SQRT2 * a[pos]))
         neg = a < 0
         if np.any(neg):
-            lv = logsumexp(np.log(-a[neg]) - SQRT2 * a[neg])
-            total -= math.exp(lp + lv)
+            total -= math.exp(lp + logsumexp(np.log(-a[neg]) - SQRT2 * a[neg]))
         z_t = total
     return ExtremalStats(
-        t=float(t_b), m_t=float(r[imax]), max_x=float(led.x.max()),
-        argmax_y=float(led.y[imax]), z_t=z_t, barrier_ok=bool(barrier_ok),
+        t=float(t), m_t=float(r[imax]), max_x=max_x, argmax_y=float(y[imax]), z_t=z_t,
+        barrier_ok=barrier_ok and (t < 1.0 or max_x <= SQRT2 * t - 1.0),
     )

@@ -313,7 +313,7 @@ def solve_spectrum(alpha: float, n_max: int, accuracy: float = DEFAULT_ACCURACY,
 
     Eigenvalues carry a grid-refinement (Richardson) error estimate that
     must land below `accuracy`; otherwise the grid is halved up to a cap
-    and a NumericalFailure reports the last two estimates.  Solving at
+    and a NumericalFailure reports the last error estimate.  Solving at
     q != 1 exists as a direct cross-check of the exact rescaling law.
     """
     if alpha <= 0:
@@ -351,13 +351,11 @@ def solve_spectrum(alpha: float, n_max: int, accuracy: float = DEFAULT_ACCURACY,
         _, lam_h2, _ = levels(h / 2)
         rich_prev = (4.0 * lam_h2 - lam_h) / 3.0
 
-        last_pair = None
         for attempt in range(MAX_REFINEMENTS + 1):
             hf = h / 2 ** (attempt + 2)
             xf, lam_hf, found = levels(hf)
             lam_rich = (4.0 * lam_hf - lam_h2) / 3.0
             est = np.abs(lam_rich - rich_prev)
-            last_pair = (rich_prev.copy(), lam_rich.copy())
             if est.max() <= accuracy:
                 break
             lam_h2, rich_prev = lam_hf, lam_rich
@@ -365,7 +363,7 @@ def solve_spectrum(alpha: float, n_max: int, accuracy: float = DEFAULT_ACCURACY,
             raise NumericalFailure(
                 f"eigenvalues did not reach accuracy {accuracy:.1e} after "
                 f"{MAX_REFINEMENTS} refinements (last estimates "
-                f"{est.max():.2e})", estimates=last_pair)
+                f"{est.max():.2e})")
 
         if not (lam_rich[0] > 0 and np.all(np.diff(lam_rich) > 0)):
             raise NumericalFailure("eigenvalues not positive strictly increasing")

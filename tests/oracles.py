@@ -110,9 +110,9 @@ def functional_by_ancestor_walk(pop, fn, t_end):
     particle at a time: each ancestor is found by following parent links
     until the birth time is at most the snapshot time, and read from that
     snapshot.  The reference for PathFunctional.on_population."""
-    n_alive, xs, ys = pop.snapshots[t_end]
+    xs, ys = pop.snapshots[t_end]
     total = 0
-    for i in range(n_alive):
+    for i in range(len(xs)):
         if fn.kind == "one":
             ok = True
         elif fn.kind == "x_indicator":
@@ -125,6 +125,6 @@ def functional_by_ancestor_walk(pop, fn, t_end):
                 j = i
                 while pop.birth[j] > s:
                     j = pop.parent[j]
-                ok = ok and pop.snapshots[s][1][j] > a
+                ok = ok and pop.snapshots[s][0][j] > a
         total += 1 if ok else 0
     return float(total)

@@ -4,6 +4,8 @@ failure (see the criterion docstring and the printed details); it is
 marked strict-xfail so the suite stays honest about it.
 """
 
+import tempfile
+
 import pytest
 
 from bbmlab import acceptance
@@ -14,72 +16,72 @@ def ctx():
     return acceptance.AcceptanceContext()
 
 
-def _run(ctx, fn):
-    res = fn(ctx)
+def _run(ctx, n):
+    (res,) = acceptance.run_suite({n}, ctx)
     print()
     print(res.line())
     return res
 
 
 def test_criterion_01_spectral_golden(ctx):
-    assert _run(ctx, acceptance.criterion_1).passed
+    assert _run(ctx, 1).passed
 
 
 def test_criterion_02_growth_law(ctx):
-    assert _run(ctx, acceptance.criterion_2).passed
+    assert _run(ctx, 2).passed
 
 
 def test_criterion_03_scaling_law(ctx):
-    assert _run(ctx, acceptance.criterion_3).passed
+    assert _run(ctx, 3).passed
 
 
 def test_criterion_04_product_form(ctx):
-    assert _run(ctx, acceptance.criterion_4).passed
+    assert _run(ctx, 4).passed
 
 
 def test_criterion_05_cross_validation(ctx):
-    assert _run(ctx, acceptance.criterion_5).passed
+    assert _run(ctx, 5).passed
 
 
 def test_criterion_06_constant_coefficient(ctx):
-    assert _run(ctx, acceptance.criterion_6).passed
+    assert _run(ctx, 6).passed
 
 
 def test_criterion_07_norm_monotone(ctx):
-    assert _run(ctx, acceptance.criterion_7).passed
+    assert _run(ctx, 7).passed
 
 
 def test_criterion_08_kernel_cross_oracle(ctx):
-    assert _run(ctx, acceptance.criterion_8).passed
+    assert _run(ctx, 8).passed
 
 
 def test_criterion_09_total_mass_band(ctx):
-    assert _run(ctx, acceptance.criterion_9).passed
+    assert _run(ctx, 9).passed
 
 
 def test_criterion_10_alpha2_exponent(ctx):
-    assert _run(ctx, acceptance.criterion_10).passed
+    assert _run(ctx, 10).passed
 
 
 def test_criterion_11_bridge_barrier(ctx):
-    assert _run(ctx, acceptance.criterion_11).passed
+    assert _run(ctx, 11).passed
 
 
 def test_criterion_12_moment_identities(ctx):
-    assert _run(ctx, acceptance.criterion_12).passed
+    assert _run(ctx, 12).passed
 
 
 def test_criterion_13_coupling_chain(ctx):
-    assert _run(ctx, acceptance.criterion_13).passed
+    assert _run(ctx, 13).passed
 
 
 def test_criterion_14_lattice_statistics(ctx):
-    assert _run(ctx, acceptance.criterion_14).passed
+    assert _run(ctx, 14).passed
 
 
 @pytest.fixture(scope="module")
 def crit15(ctx):
-    return _run(ctx, acceptance.criterion_15)
+    return _run(ctx, 15)
 
 
 def test_criterion_15_centered_band(crit15):
@@ -98,5 +100,7 @@ def test_criterion_15_gap_band(crit15):
     assert crit15.passed
 
 
-def test_criterion_16_determinism(ctx):
-    assert _run(ctx, acceptance.criterion_16).passed
+def test_criterion_16_determinism(ctx, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert _run(ctx, 16).passed
+    assert not any(tmp_path.iterdir()), "criterion 16 left files behind"

@@ -187,11 +187,15 @@ class TestBoundary:
         ["simulate", "--t-end", "1", "--seed", "1", "--family", "Foo"],
         ["couple", "--t-end", "1", "--seed", "1", "--alphas", "a,b"],
         ["accept", "--only", "x"],
+        ["accept", "--only", "99"],
+        ["accept", "--only", "0,3"],
+        ["accept", "--only", ""],
         ["mto1", "--alpha", "1", "--t-end", "1", "--functional", "x_cylinder", "--n-sim", "5",
          "--n-mc", "200", "--seed", "1"],
         ["mto2", "--t-end", "1", "--f-functional", "weird", "--seed", "1"],
     ], ids=["missing-s", "seed-2**64", "t_end-inf", "family-Foo", "alphas-a,b", "only-x",
-            "functional-x_cylinder", "f_functional-weird"])
+            "only-99", "only-0,3", "only-empty", "functional-x_cylinder",
+            "f_functional-weird"])
     def test_bad_flags(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("BBMLAB_OUT", raising=False)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.model import ModelParams, RateFamily, RateTable, derived_constants
@@ -190,6 +192,18 @@ class TestCoupled:
         with pytest.raises(ConfigurationError):
             run_coupled([2.0, 1.0], 4.0, 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.floats(0.3, 6.0), min_size=1, max_size=4, unique=True).map(sorted),
+           hst.integers(0, 2**64 - 1), hst.floats(0.5, 3.0), hst.floats(0.01, 1.0),
+           hst.booleans())
+    def test_chain_over_random_ladders(self, alphas, seed, t_end, frac, homogeneous):
+        """The inclusion chain, asserted inside run_coupled, holds on random
+        sorted ladders and seeds, and member sizes never decrease along it."""
+        runs = run_coupled(alphas, t_end, seed, snapshot_times=[frac * t_end],
+                           include_homogeneous=homogeneous)
+        sizes = [pop.size for pop, _ in runs.values()]
+        assert sizes == sorted(sizes)
+
     def test_members_and_grid_checked(self):
         with pytest.raises(ConfigurationError):
             run_coupled([], 4.0, 3)
@@ -343,8 +357,11 @@ class TestManyToFew:
                                   PathFunctional("one"), n_sim, n_mc, 1)
 
     def test_unsupported_functional(self):
+        # rejected when built, before any spine chunk runs
         with pytest.raises(ConfigurationError):
-            many_to_one_check(P_SIN, 2.0, PathFunctional("weird"), 100, 1000, seed=1)
+            PathFunctional("weird")
+        with pytest.raises(ConfigurationError, match="takes no times"):
+            PathFunctional("x_indicator", times=(1.0,), thresholds=(0.0,))
         with pytest.raises(ConfigurationError):
             many_to_two_check(P_SIN, 1.0, PathFunctional("x_cylinder"),
                               PathFunctional("one"), 100, 1000, seed=1)

@@ -2,14 +2,15 @@
 
 Every Gaussian path column in the package is drawn by `mc._march`, and every
 Philox stream is keyed by `mc._chunks`, so a random stream has one place to
-change and one place to pin (tests/test_mc_stream.py).  In `sim` a lineage
-key is mixed only where a particle is born, and replicates run through one
-loop that derives their seeds.  Every operation runs through
-`Operation.execute`, and its parameters are parsed and defaulted by the
-registry alone.  These tests read the source with `ast` and fail on a draw,
-a stream, a key, a replicate seed, a run or a parameter default made
-anywhere else.  The finite-difference grid options are exactly those the
-registry exposes.
+change and one place to pin (tests/test_mc_stream.py).  The acceptance
+criteria are timed by `acceptance.run_suite` alone, the one caller that
+reports the time.  In `sim` a lineage key is mixed only where a particle is
+born, and replicates run through one loop that derives their seeds.  Every
+operation runs through `Operation.execute`, and its parameters are parsed
+and defaulted by the registry alone.  These tests read the source with `ast`
+and fail on a draw, a stream, a key, a replicate seed, a run or a parameter
+default made anywhere else.  The finite-difference grid options are exactly
+those the registry exposes.
 """
 
 import ast
@@ -43,6 +44,7 @@ def _calls(attr):
 @pytest.mark.parametrize("attr, home", [
     ("standard_normal", ("mc", "_march")),
     ("Philox", ("mc", "_chunks")),
+    ("perf_counter", ("acceptance", "run_suite")),
 ])
 def test_one_site(attr, home):
     sites = _calls(attr)
