@@ -51,6 +51,7 @@ from scipy.special import i0e
 from .errors import ConfigurationError, DomainError, NumericalFailure
 
 CHUNK = 20_000
+MAX_COLUMNS = 1_000_000  # the interval budget of one path grid
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,18 @@ def _chunked_mean(seed, n, sample, key_offset=0, chunk=CHUNK):
 
 
 def _intervals(length, step):
-    """Number of grid intervals of at most `step` over `length`, at least two."""
+    """Number of grid intervals of at most `step` over `length`, at least two.
+
+    A count over MAX_COLUMNS is a NumericalFailure, raised before any grid
+    is allocated, that names the smallest step (to three digits) that fits."""
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"step must be positive and finite, got {step}")
+    if length / step > MAX_COLUMNS:
+        fit = length / MAX_COLUMNS
+        unit = 10.0 ** (math.floor(math.log10(fit)) - 2)
+        raise NumericalFailure(
+            f"a step of {step:g} over {length:g} exceeds the budget of {MAX_COLUMNS} "
+            f"grid intervals; the smallest step that fits is {math.ceil(fit / unit) * unit:.3g}")
     return max(2, int(math.ceil(length / step)))
 
 

@@ -1,8 +1,13 @@
 import csv
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +98,29 @@ class TestCli:
         code = main(["pde", "--xi", "0", "--t-end", "0.999999", "--rho", "50000",
                      "--alpha", "1.0", "--dx", "0.05", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        "mass --s 16 --t-end 64 --alpha 1 --beta 1 --n 1000 --step 1e-9 --seed 7",
+        "gtilde --s 4 --t-end 16 --y 0.5 --alpha 1 --n 1000 --step 1e-9 --seed 7",
+        "alpha2 --beta 1 --s-list 2,4 --t-end 512 --n 1000 --step 1e-12 --seed 7",
+        "mass --s 16 --t-end 64 --alpha 1 --beta 1 --n 1000 --step 5e-324 --seed 7",
+    ], ids=["mass", "gtilde", "alpha2", "mass_subnormal_step"])
+    def test_path_grid_over_budget_exit(self, tmp_path, argv):
+        # a tiny step asks for a path grid of hundreds of GiB, or for an
+        # interval count that overflows to infinity: refused with one line
+        # before anything is allocated (the address-space limit keeps a grid
+        # that is allocated anyway from reaching the machine)
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-m", "bbmlab.cli", *argv.split(),
+                               "--out", str(tmp_path)], env=env, preexec_fn=limit,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
     def test_cli_covers_every_operation(self):
         import argparse

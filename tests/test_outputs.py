@@ -6,7 +6,11 @@ The sha256 digests below pin the CSV bytes of small `simulate`, `couple` and
 per-draw lineage mixing of `rng` became array operations, which must leave
 every byte and every random stream as it was.  The JSON files of those runs
 and of small `mto1`, `mto2` and `porism` runs were pinned before the ledger
-kept each lineage key as a column and the replicate loops became one.
+kept each lineage key as a column and the replicate loops became one.  The
+lattice digests pin every `Population` array of `run_discrete` (dtype and
+bytes), its time, size and truncation flag, and its recorded events; they
+were taken before the generation loop came to release each array at its
+last use and to move positions in place.
 Recorded with numpy 2.4 and scipy 1.17 on x86-64; a platform whose libm
 rounds `log`, `arctan2` or `ndtri` differently in the last bit may need them
 re-taken from a tree that predates the change.
@@ -82,6 +86,37 @@ def test_pinned_csv_bytes(pinned_digests):
 
 def test_pinned_json_bytes(pinned_digests):
     assert _of_kind(pinned_digests, ".json") == _of_kind(PINNED_SHA256, ".json")
+
+
+LATTICE_RUNS = {
+    "homogeneous_n14": (RateFamily.HOMOGENEOUS, 14, 7, {}),
+    "sinpow_n9_events": (RateFamily.SIN_POW, 9, 5, {"record_events": True}),
+    "sinpow_n20_capped": (RateFamily.SIN_POW, 20, 3, {"cap": 1000}),
+}
+LATTICE_SHA256 = {
+    "homogeneous_n14": "0e16e52e2da6f8a504ab5e40796627f3c83203784ff3921462590d2bb7cdfa6b",
+    "sinpow_n9_events": "81e07600c33ca08b0341e15b1760b631f78c915bc9c291714053ea926dc1bd57",
+    "sinpow_n20_capped": "cad9ee91897dd38678efb52f53b4995331651a63accb4f9d4d77d5e1ae04c34b",
+}
+
+
+def _lattice_digest(pop, events):
+    """sha256 over the dtype and bytes of every array of a lattice run."""
+    h = hashlib.sha256(repr((pop.time, pop.size, pop.truncated)).encode())
+    arrays = [v for v in vars(pop).values() if isinstance(v, np.ndarray)]
+    for a in arrays + [a for event in events for a in event]:
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(LATTICE_RUNS))
+def test_pinned_lattice_arrays(run):
+    family, n_end, seed, kwargs = LATTICE_RUNS[run]
+    pop, events = run_discrete(ModelParams(alpha=1.0, rate_family=family), n_end, seed, **kwargs)
+    assert pop.truncated == ("cap" in kwargs)
+    assert bool(events) == kwargs.get("record_events", False)
+    assert _lattice_digest(pop, events) == LATTICE_SHA256[run]
 
 
 def _hex_ids(pop):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,21 @@ class TestDiscrete:
     def test_cap(self):
         pop, _ = run_discrete(P_HOM, 20, 3, cap=1000)
         assert pop.truncated and pop.size <= 1000
+
+    @pytest.mark.parametrize("params, n_end", [(P_HOM, 16), (P_SIN, 22)],
+                             ids=["homogeneous_n16", "sinpow_n22"])
+    def test_peak_memory_near_the_returned_arrays(self, params, n_end):
+        # the lattice holds one generation's arrays at a time, so its traced
+        # peak stays within 1.5 times the bytes it returns
+        tracemalloc.start()
+        try:
+            pop, _ = run_discrete(params, n_end, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(v.nbytes for v in vars(pop).values() if isinstance(v, np.ndarray))
+        assert pop.size > 2 ** 15
+        assert peak <= 1.5 * returned, f"peak {peak / returned:.2f}x the returned bytes"
 
 
 class TestManyToFew:

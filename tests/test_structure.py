@@ -5,7 +5,10 @@ Philox stream is keyed by `mc._chunks`, so a random stream has one place to
 change and one place to pin (tests/test_mc_stream.py).  The acceptance
 criteria are timed by `acceptance.run_suite` alone, the one caller that
 reports the time.  In `sim` a lineage key is mixed only where a particle is
-born, and replicates run through one loop that derives their seeds.  Every
+born, and replicates run through one loop that derives their seeds.  A
+child's lineage id is derived only where the ledger drains and where the
+lattice builds a generation: one way to derive it, and a traced count of
+`rng.child_id` calls that keeps its meaning.  Every
 operation runs through `Operation.execute`, and its parameters are parsed
 and defaulted by the registry alone.  These tests read the source with `ast`
 and fail on a draw, a stream, a key, a replicate seed, a run or a parameter
@@ -56,6 +59,10 @@ def test_lineage_keys_mixed_at_birth():
     """The ledger's one birth path and the lattice generations are the only
     places in the package that mix a lineage key."""
     assert set(_calls("key")) == {("sim", "_born"), ("sim", "run_discrete")}
+
+
+def test_lineage_ids_derived_in_two_places():
+    assert set(_calls("child_id")) == {("sim", "drain_until"), ("sim", "run_discrete")}
 
 
 @pytest.mark.parametrize("attr, homes", [
