@@ -291,6 +291,25 @@ MIN_STEPS = 400  # no step longer than T / MIN_STEPS
 MAX_STEPS = 400_000  # the step budget of one solve
 
 
+def _min_steps(rho, T, q: PiecewiseQ, cfl: float) -> float:
+    """A lower bound on the step count of `_step_plan`, 0 where none is proven:
+    every step has q(t) dt <= c = cfl/rho, so if q grows by at most a factor r
+    over a step, the count is >= int_0^T q dt / (c r).  r = 1 on a const piece;
+    on a power piece (1-t)^-a, dt/(1-t) <= c M with M = max(1, (1-T)^(a-1)), so
+    r = (1 - c M)^-a (no bound if c M >= 1).  Other pieces give no bound, nor
+    does a jump up at a breakpoint, where a step reads the lower value."""
+    c, r = cfl / rho, 1.0
+    for k, (t0, _, kind, pay) in enumerate(q.pieces):
+        if kind not in ("const", "power"):
+            return 0.0
+        if k and (pay if kind == "const" else (1.0 - t0) ** -pay) > q.value(t0):
+            return 0.0
+        if kind == "power":
+            reach = c * max(1.0, (1.0 - T) ** (pay - 1.0))
+            r = max(r, (1.0 - reach) ** -pay) if reach < 1.0 else math.inf
+    return q.integral_pow(1.0, 0.0, T) / (c * r)
+
+
 def _step_plan(rho, T, q: PiecewiseQ, cfl: float, shifts):
     """One walk over [0, T] that yields everything the stepping loop needs
     from the time axis: the step sizes, honoring q(t) dt <= cfl/rho and
@@ -302,6 +321,8 @@ def _step_plan(rho, T, q: PiecewiseQ, cfl: float, shifts):
     `shifts`, which maps a list of q values to their shifts, is None).
     Simpson's nodes start from a = t - dt, taken after the step.
     """
+    if _min_steps(rho, T, q, cfl) > MAX_STEPS + len(q.pieces):  # landing steps may pass
+        raise NumericalFailure(f"time grid needs over {MAX_STEPS} steps to reach T={T}; reduce T")
     dt_max = T / MIN_STEPS
     brk = iter(sorted(b for b in q.breakpoints() if 0.0 < b < T))
     nb = next(brk, T)

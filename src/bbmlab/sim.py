@@ -156,18 +156,26 @@ def export_stats_csv(path, stats):
 
 
 class _Ledger:
-    """Growable SoA state for the continuous-time simulation: one array per
-    column of COLUMNS, one entry per particle ever born.  key is the lineage
-    key rng.key(lid_hi, lid_lo), t_mat the time (x, y) was last materialized,
-    ctr the next counter slot and t_prop the time of the next proposal."""
+    """Growable SoA state of one continuous-time run, with its inputs: one
+    array per column of COLUMNS, one entry per particle ever born.  Rows are
+    only appended; lid_hi, lid_lo, key, parent and birth are fixed at birth
+    and a proposal round changes only the MUTABLE columns.  key is the
+    lineage key rng.key(lid_hi, lid_lo), t_mat the time (x, y) was last
+    materialized, ctr the next counter slot and t_prop the time of the next
+    proposal.  split_log is None when splits are not recorded."""
 
     COLUMNS = {"lid_hi": np.uint64, "lid_lo": np.uint64, "key": np.uint64,
                "parent": np.int64, "birth": np.float64, "x": np.float64,
                "y": np.float64, "t_mat": np.float64, "ctr": np.uint64,
                "prop_idx": np.uint64, "t_prop": np.float64}
+    MUTABLE = ("x", "y", "t_mat", "ctr", "prop_idx", "t_prop")
 
-    def __init__(self, seed: int):
+    def __init__(self, seed, params, cap, split_log=None, spawn_children=True):
         self.rng = CounterRNG(seed)
+        self.params = params
+        self.cap = cap
+        self.split_log = split_log
+        self.spawn_children = spawn_children
         for name, dtype in self.COLUMNS.items():
             setattr(self, name, np.empty(0, dtype=dtype))
         self._born([ROOT_ID[0]], [ROOT_ID[1]], [-1], [0.0], [0.0], [0.0])
@@ -189,55 +197,41 @@ class _Ledger:
             setattr(self, name, np.concatenate([getattr(self, name),
                                                 np.asarray(new[name], dtype=dtype)]))
 
-    def _take(self, idx, n_slots):
-        """Consume n_slots counter values for particles idx, returning the
-        base counters."""
+    def _move(self, idx, to_time, n_slots):
+        """Move particles idx by their Brownian increments to to_time (one
+        time, or one per particle), taking n_slots counter slots each: dx and
+        dy draw from the first two.  Returns their keys and base counters."""
         base = self.ctr[idx].copy()
         self.ctr[idx] += np.uint64(n_slots)
-        return base
+        sd = np.sqrt(to_time - self.t_mat[idx])
+        key = self.key[idx]
+        self.x[idx] += sd * self.rng.normal(key, base)
+        self.y[idx] += sd * self.rng.normal(key, base + np.uint64(1))
+        self.t_mat[idx] = to_time
+        return key, base
 
-    def materialize(self, idx, to_time):
-        """Advance positions of particles idx exactly to to_time (2 slots)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        dt = to_time - self.t_mat[idx]
-        move = dt > 0
-        if not np.any(move):
-            return
-        sub = idx[move]
-        base = self._take(sub, 2)
-        sd = np.sqrt(dt[move])
-        key = self.key[sub]
-        self.x[sub] += sd * self.rng.normal(key, base)
-        self.y[sub] += sd * self.rng.normal(key, base + np.uint64(1))
-        self.t_mat[sub] = to_time
+    def materialize(self, to_time):
+        """Advance every particle last materialized before to_time exactly
+        to it (2 slots)."""
+        idx = np.nonzero(self.t_mat < to_time)[0]
+        if len(idx):
+            self._move(idx, to_time, 2)
 
-    def checkpoint(self):
-        return {name: getattr(self, name).copy() for name in self.COLUMNS}
-
-    def restore(self, state):
-        for k, v in state.items():
-            setattr(self, k, v)
-
-    def drain_until(self, t_b, params, cap, record_splits, split_log,
-                    spawn_children=True):
-        """Process every proposal with time <= t_b; returns False if the
-        population cap would be exceeded (ledger untouched in that case,
-        thanks to a checkpoint taken on entry)."""
-        state = self.checkpoint()
+    def drain_until(self, t_b):
+        """Process every proposal with time <= t_b (4 slots each).  Returns
+        False if a split would exceed the cap, with the ledger rewound to its
+        state on entry: the rows born since are cut, the MUTABLE columns put
+        back and the split log cut to its length then."""
+        rows, logged = self.size, len(self.split_log or ())
+        saved = {name: getattr(self, name).copy() for name in self.MUTABLE}
         while True:
             active = np.nonzero(self.t_prop <= t_b)[0]
             if len(active) == 0:
                 return True
             tau = self.t_prop[active]
-            dt = tau - self.t_mat[active]
-            base = self._take(active, 4)
-            sd = np.sqrt(np.maximum(dt, 0.0))
-            key = self.key[active]
-            self.x[active] += sd * self.rng.normal(key, base)
-            self.y[active] += sd * self.rng.normal(key, base + np.uint64(1))
-            self.t_mat[active] = tau
+            key, base = self._move(active, tau, 4)
             theta = np.arctan2(self.y[active], self.x[active])
-            rate = branching_rate(theta, params)
+            rate = branching_rate(theta, self.params)
             u = self.rng.uniform(key, base + np.uint64(2))
             wait = self.rng.exponential(key, base + np.uint64(3))
             self.prop_idx[active] += np.uint64(1)
@@ -246,12 +240,17 @@ class _Ledger:
             split = u <= rate
             if np.any(split):
                 sel = active[split]
-                if record_splits:
-                    split_log.extend(zip(sel.tolist(), tau[split].tolist()))
-                if not spawn_children:
+                if self.split_log is not None:
+                    self.split_log.extend(zip(sel.tolist(), tau[split].tolist()))
+                if not self.spawn_children:
                     continue
-                if self.size + len(sel) > cap:
-                    self.restore(state)
+                if self.size + len(sel) > self.cap:
+                    # copies, so the returned columns hold no discarded rows
+                    for name in self.COLUMNS:
+                        setattr(self, name, saved[name] if name in saved
+                                else getattr(self, name)[:rows].copy())
+                    if self.split_log is not None:
+                        del self.split_log[logged:]
                     return False
                 chi, clo = child_id(self.lid_hi[sel], self.lid_lo[sel],
                                     self.prop_idx[sel])
@@ -315,8 +314,7 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
     snaps = snapshot_grid(snapshot_times, t_end)
     if cap < 1:
         raise DomainError("cap must be at least 1")
-    led = _Ledger(seed)
-    split_log: list = []
+    led = _Ledger(seed, params, cap, [] if record_splits else None, spawn_children)
     stats: list[ExtremalStats] = []
     snapshots: dict = {}
     truncated = False
@@ -324,12 +322,10 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
     barrier_ok = True
 
     for t_b, is_snap in _slice_boundaries(snaps):
-        ok = led.drain_until(t_b, params, cap, record_splits, split_log,
-                             spawn_children=spawn_children)
-        if not ok:
+        if not led.drain_until(t_b):
             truncated = True
             break
-        led.materialize(np.arange(led.size), t_b)
+        led.materialize(t_b)
         reached = t_b
         if is_snap:
             snapshots[t_b] = (led.x.copy(), led.y.copy())
@@ -340,7 +336,7 @@ def run_continuous(params: ModelParams, t_end: float, seed: int,
         time=reached, lid_hi=led.lid_hi, lid_lo=led.lid_lo, parent=led.parent,
         birth=led.birth, x=led.x, y=led.y, next_proposal=led.t_prop,
         rng_root_seed=seed, cap=cap, truncated=truncated,
-        snapshots=snapshots, split_log=split_log,
+        snapshots=snapshots, split_log=led.split_log if record_splits else [],
     )
     return pop, stats
 

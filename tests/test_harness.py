@@ -15,6 +15,7 @@ from bbmlab import operations, spectral
 from bbmlab.cli import main
 from bbmlab.errors import ConfigurationError
 from bbmlab.harness import report, run_experiment, spec_from_config
+from bbmlab.pde import PiecewiseQ
 
 CFG = """
 [experiment]
@@ -98,6 +99,15 @@ class TestCli:
         code = main(["pde", "--xi", "0", "--t-end", "0.999999", "--rho", "50000",
                      "--alpha", "1.0", "--dx", "0.05", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_step_budget_refused_before_the_walk(self, tmp_path, monkeypatch):
+        # the step-count bound exceeds the budget, so q is never evaluated
+        calls = []
+        value = PiecewiseQ.value
+        monkeypatch.setattr(PiecewiseQ, "value", lambda q, t: calls.append(t) or value(q, t))
+        code = main(["pde", "--alpha", "2", "--t-end", "0.99", "--rho", "500",
+                     "--out", str(tmp_path)])
+        assert code == 2 and calls == []
 
     @pytest.mark.parametrize("argv", [
         "mass --s 16 --t-end 64 --alpha 1 --beta 1 --n 1000 --step 1e-9 --seed 7",

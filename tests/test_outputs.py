@@ -10,7 +10,11 @@ kept each lineage key as a column and the replicate loops became one.  The
 lattice digests pin every `Population` array of `run_discrete` (dtype and
 bytes), its time, size and truncation flag, and its recorded events; they
 were taken before the generation loop came to release each array at its
-last use and to move positions in place.
+last use and to move positions in place.  The continuous digests pin every
+`Population` array of `run_continuous`, its snapshots, stats and split log;
+they were taken before the ledger came to hold its run's inputs, to draw
+every Brownian increment in one move and to rewind a cap overrun by row
+count.
 Recorded with numpy 2.4 and scipy 1.17 on x86-64; a platform whose libm
 rounds `log`, `arctan2` or `ndtri` differently in the last bit may need them
 re-taken from a tree that predates the change.
@@ -26,7 +30,7 @@ from hypothesis import strategies as st
 
 from bbmlab.cli import main
 from bbmlab.files import ROWS_PER_BLOCK, write_csv
-from bbmlab.model import ModelParams, RateFamily
+from bbmlab.model import ModelParams, RateFamily, RateTable
 from bbmlab.rng import CounterRNG, mix_words
 from bbmlab.sim import (
     HexIds,
@@ -100,14 +104,23 @@ LATTICE_SHA256 = {
 }
 
 
-def _lattice_digest(pop, events):
-    """sha256 over the dtype and bytes of every array of a lattice run."""
-    h = hashlib.sha256(repr((pop.time, pop.size, pop.truncated)).encode())
-    arrays = [v for v in vars(pop).values() if isinstance(v, np.ndarray)]
-    for a in arrays + [a for event in events for a in event]:
+def _digest(head, arrays):
+    """sha256 over repr(head), then the dtype and bytes of every array."""
+    h = hashlib.sha256(repr(head).encode())
+    for a in arrays:
         h.update(a.dtype.str.encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def _pop_arrays(pop):
+    return [v for v in vars(pop).values() if isinstance(v, np.ndarray)]
+
+
+def _lattice_digest(pop, events):
+    """sha256 over the dtype and bytes of every array of a lattice run."""
+    return _digest((pop.time, pop.size, pop.truncated),
+                   _pop_arrays(pop) + [a for event in events for a in event])
 
 
 @pytest.mark.parametrize("run", sorted(LATTICE_RUNS))
@@ -117,6 +130,38 @@ def test_pinned_lattice_arrays(run):
     assert pop.truncated == ("cap" in kwargs)
     assert bool(events) == kwargs.get("record_events", False)
     assert _lattice_digest(pop, events) == LATTICE_SHA256[run]
+
+
+CONTINUOUS_RUNS = {
+    "sinpow_t8_snapshots": (ModelParams(alpha=1.0), 8.0, 3, {"snapshot_times": (2.0, 4.0, 6.0)}),
+    "homogeneous_t12_capped": (ModelParams(alpha=1.0, rate_family=RateFamily.HOMOGENEOUS),
+                               12.0, 4, {"cap": 500}),
+    "constant_rate_split_log": (
+        ModelParams(alpha=1.0, rate_family=RateFamily.CUSTOM, table=RateTable((0.6,) * 17)),
+        300.0, 555, {"record_splits": True, "spawn_children": False}),
+}
+CONTINUOUS_SHA256 = {
+    "sinpow_t8_snapshots": "e5767912fc810f756a4cb54e3f1355256605fe7a3456044d0f539288da313c61",
+    "homogeneous_t12_capped": "1d31b8c1fd20eb99d8b57910faaf416a89ca0f4e5c6db1d491e673d0780d2b71",
+    "constant_rate_split_log": "fc4e3d4ae7e719b8b286a3bfaa29645d55cfca461499265a8436f5bf65e730b0",
+}
+
+
+def _continuous_digest(pop, stats):
+    """sha256 over every `Population` array, every snapshot array (in time
+    order), the stats and the split log of an exact particle run."""
+    times = sorted(pop.snapshots)
+    head = (pop.time, pop.size, pop.truncated, times, repr(stats), pop.split_log)
+    return _digest(head, _pop_arrays(pop) + [a for t in times for a in pop.snapshots[t]])
+
+
+@pytest.mark.parametrize("run", sorted(CONTINUOUS_RUNS))
+def test_pinned_continuous_arrays(run):
+    params, t_end, seed, kwargs = CONTINUOUS_RUNS[run]
+    pop, stats = run_continuous(params, t_end, seed, **kwargs)
+    assert pop.truncated == ("cap" in kwargs)
+    assert bool(pop.split_log) == kwargs.get("record_splits", False)
+    assert _continuous_digest(pop, stats) == CONTINUOUS_SHA256[run]
 
 
 def _hex_ids(pop):
@@ -265,3 +310,4 @@ class TestWriteCsv:
     def test_zero_rows(self, tmp_path):
         assert _written(tmp_path, ["a", "b"], [[], np.empty(0)]) == "a,b\n"
         assert _written(tmp_path, [], []) == "\n"
+

@@ -106,6 +106,50 @@ class TestContinuous:
         assert pop.size <= 500
         assert pop.time < 12.0
 
+    @pytest.mark.parametrize("params", [P_HOM, P_SIN], ids=["homogeneous", "sinpow"])
+    def test_truncated_run_is_exact_at_its_time(self, params):
+        """A capped run is the uncapped run of the same seed and snapshot
+        grid, stopped at the time it reports: the rows born by then, every
+        snapshot up to it, and the positions there when it is a snapshot."""
+        snaps = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        truncated = on_snapshot = 0
+        for seed in range(15):
+            full, _ = run_continuous(params, 8.0, seed, snapshot_times=snaps)
+            for cap in (20, 60, 200):
+                pop, _ = run_continuous(params, 8.0, seed, snapshot_times=snaps, cap=cap)
+                if not pop.truncated:
+                    continue
+                truncated += 1
+                n = pop.size
+                assert n == np.count_nonzero(full.birth <= pop.time)
+                for name in ("lid_hi", "lid_lo", "parent", "birth"):
+                    assert np.array_equal(getattr(pop, name), getattr(full, name)[:n]), name
+                assert set(pop.snapshots) == {t for t in full.snapshots if t <= pop.time}
+                for t, (x, y) in pop.snapshots.items():
+                    assert np.array_equal(x, full.snapshots[t][0])
+                    assert np.array_equal(y, full.snapshots[t][1])
+                if pop.time in full.snapshots:
+                    on_snapshot += 1
+                    assert np.array_equal(pop.x, full.snapshots[pop.time][0])
+                    assert np.array_equal(pop.y, full.snapshots[pop.time][1])
+        assert truncated > 0 and on_snapshot > 0
+
+    def test_split_log_matches_a_truncated_population(self):
+        """After a cap overrun the split log holds one (parent index, birth)
+        entry per child of the returned population and nothing else: so it
+        has size - 1 entries, every index is below size and its times are
+        the births."""
+        truncated = 0
+        for seed in range(10):
+            for cap in (20, 50, 200):
+                pop, _ = run_continuous(P_HOM, 8.0, seed, cap=cap, record_splits=True)
+                if not pop.truncated:
+                    continue
+                truncated += 1
+                children = zip(pop.parent[1:].tolist(), pop.birth[1:].tolist())
+                assert sorted(pop.split_log) == sorted(children)
+        assert truncated > 0
+
     def test_thinning_exactness_ks(self):
         # single tagged lineage observed for a long window; population-wide
         # gap collection would be length-biased by the exponential growth
@@ -147,18 +191,19 @@ class TestContinuous:
         assert [s.t for s in stats] == [1.0, 2.0]
 
     def test_key_column_is_the_lineage_key(self):
-        led = _Ledger(5)
-        assert led.drain_until(4.0, P_HOM, 10 ** 6, False, [])
+        led = _Ledger(5, P_HOM, 10 ** 6)
+        assert led.drain_until(4.0)
         assert led.size > 10
         assert np.array_equal(led.key, CounterRNG(5).key(led.lid_hi, led.lid_lo))
         assert set(_Ledger.COLUMNS) == {k for k, v in vars(led).items()
                                         if isinstance(v, np.ndarray)}
 
     def test_cap_overrun_restores_every_column(self):
-        led = _Ledger(5)
-        assert led.drain_until(2.0, P_HOM, 10 ** 6, False, [])
-        before = led.checkpoint()
-        assert not led.drain_until(6.0, P_HOM, led.size + 1, False, [])
+        led = _Ledger(5, P_HOM, 10 ** 6)
+        assert led.drain_until(2.0)
+        before = {name: getattr(led, name).copy() for name in _Ledger.COLUMNS}
+        led.cap = led.size + 1
+        assert not led.drain_until(6.0)
         for name, dtype in _Ledger.COLUMNS.items():
             col = getattr(led, name)
             assert col.dtype == dtype and np.array_equal(col, before[name]), name

@@ -5,7 +5,9 @@ Philox stream is keyed by `mc._chunks`, so a random stream has one place to
 change and one place to pin (tests/test_mc_stream.py).  The acceptance
 criteria are timed by `acceptance.run_suite` alone, the one caller that
 reports the time.  In `sim` a lineage key is mixed only where a particle is
-born, and replicates run through one loop that derives their seeds.  A
+born, every Brownian increment of the particle ledger is drawn by
+`_Ledger._move`, and replicates run through one loop that derives their
+seeds.  A
 child's lineage id is derived only where the ledger drains and where the
 lattice builds a generation: one way to derive it, and a traced count of
 `rng.child_id` calls that keeps its meaning.  Every
@@ -48,6 +50,7 @@ def _calls(attr):
     ("standard_normal", ("mc", "_march")),
     ("Philox", ("mc", "_chunks")),
     ("perf_counter", ("acceptance", "run_suite")),
+    ("normal", ("sim", "_move")),
 ])
 def test_one_site(attr, home):
     sites = _calls(attr)
