@@ -55,9 +55,11 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="summarize a run directory")
     p_rep.add_argument("run_dir")
 
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
 
     try:
+        if unknown:  # a flag no subcommand declares is a validation error too
+            raise ConfigurationError(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command == "run":
             from .harness import run_experiment, spec_from_config
 

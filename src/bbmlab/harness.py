@@ -44,6 +44,10 @@ class ExperimentSpec:
         if self.replicates < 1:
             raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
         op = operations.REGISTRY[self.operation]
+        if self.replicates > 1 and not op.stochastic:
+            raise ConfigurationError(
+                f"{self.operation!r} takes no seed, so its {self.replicates} replicates "
+                "would be the same run")
         for _, params in self.cells():
             op.bind(params)
 
@@ -83,7 +87,14 @@ class ExperimentSpec:
         return out
 
 
+_SECTIONS = ("experiment", "params", "ladder")
+_EXPERIMENT_KEYS = ("name", "operation", "seed", "replicates", "output")
+
+
 def spec_from_config(text: str) -> ExperimentSpec:
+    """The experiment a config describes; a section or an [experiment] key
+    outside those known is a ConfigurationError, so a misspelt name cannot
+    silently change the experiment."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -92,7 +103,14 @@ def spec_from_config(text: str) -> ExperimentSpec:
         raise ConfigurationError(f"malformed config: {exc}") from None
     if "experiment" not in sections:
         raise ConfigurationError("config needs an [experiment] section")
+    for name in sections:
+        if name not in _SECTIONS:
+            raise ConfigurationError(f"unknown section [{name}] (known: {', '.join(_SECTIONS)})")
     exp = sections["experiment"]
+    for key in exp:
+        if key not in _EXPERIMENT_KEYS:
+            raise ConfigurationError(
+                f"unknown [experiment] key {key!r} (known: {', '.join(_EXPERIMENT_KEYS)})")
     for req in ("name", "operation", "seed"):
         if req not in exp:
             raise ConfigurationError(f"[experiment] must set {req!r}")

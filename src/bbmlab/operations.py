@@ -142,6 +142,12 @@ def _model(a) -> ModelParams:
     return ModelParams(alpha=a["alpha"], beta=a["beta"], rate_family=a["family"])
 
 
+def _kernel_model(a) -> ModelParams:
+    """mass and gtilde weight paths on the power-clamp family, the only one
+    their estimators read (through alpha and beta)."""
+    return ModelParams(alpha=a["alpha"], beta=a["beta"], rate_family=RateFamily.POW_CLAMP)
+
+
 def _grids(a) -> pde.PdeGrids:
     return pde.PdeGrids(x_max=a["x_max"], dx=a["dx"], cfl_pot=a["cfl"])
 
@@ -207,14 +213,14 @@ def _run_kernel_g(a, out: Path):
 # -- stochastic operations ----------------------------------------------------
 
 def _run_mass(a, out: Path):
-    est = mc.estimate_total_mass(a["s"], a["t_end"], a["x"], _model(a), a["n"], a["step"],
-                                 a["seed"])
+    est = mc.estimate_total_mass(a["s"], a["t_end"], a["x"], _kernel_model(a), a["n"],
+                                 a["step"], a["seed"])
     return [write_json(out / "mass.json", est.to_json_dict(
         s=a["s"], t=a["t_end"], x=a["x"], seed=a["seed"], alpha=a["alpha"], beta=a["beta"]))]
 
 
 def _run_gtilde(a, out: Path):
-    est = mc.estimate_gtilde(a["s"], a["x"], a["t_end"], a["y"], _model(a), a["n"],
+    est = mc.estimate_gtilde(a["s"], a["x"], a["t_end"], a["y"], _kernel_model(a), a["n"],
                              a["step"], a["seed"])
     return [write_json(out / "gtilde.json", est.to_json_dict(
         s=a["s"], t=a["t_end"], x=a["x"], y=a["y"], seed=a["seed"],
@@ -291,12 +297,11 @@ def _run_porism(a, out: Path):
 
 
 # Parameter groups shared by several operations.
-_MODEL = {"alpha": Param(_positive, 1.0), "beta": Param(_positive, 1.0),
-          "family": Param(RateFamily, "SinPow")}
+# mass and gtilde read alpha and beta alone, on the power-clamp family
+_KERNEL_MODEL = {"alpha": Param(_positive, 1.0), "beta": Param(_positive, 1.0)}
+_MODEL = {**_KERNEL_MODEL, "family": Param(RateFamily, "SinPow")}
 _GRIDS = {"x_max": Param(_positive, pde.PdeGrids.x_max), "dx": Param(_positive, pde.PdeGrids.dx),
           "cfl": Param(_positive, pde.PdeGrids.cfl_pot)}
-# mass and gtilde weight paths on the power-clamp family
-_KERNEL_MODEL = {**_MODEL, "family": Param(RateFamily, "PowClamp")}
 
 
 def _functional_params(prefix=""):

@@ -81,7 +81,12 @@ class PiecewiseQ:
         return np.array([self._value_one(float(ti)) for ti in np.asarray(t).ravel()])
 
     def _value_one(self, t):
-        t0, t1, kind, pay = self._locate(t)
+        return self._on_piece(self._locate(t), t)
+
+    @staticmethod
+    def _on_piece(piece, t):
+        """The value at t of the formula of `piece`."""
+        t0, t1, kind, pay = piece
         if kind == "const":
             return pay
         if kind == "linear":
@@ -289,6 +294,10 @@ STORED_SLICES = 200  # at most this many time slices after the initial one
 CLAIMED_ACCURACY = 1e-3  # relative, validated by halving tests
 MIN_STEPS = 400  # no step longer than T / MIN_STEPS
 MAX_STEPS = 400_000  # the step budget of one solve
+# the node budget of one solve, sixteen times the default grid's 4,097.  At
+# it the stored field takes 201 x 65,552 x 8 B = 105 MB; a `pde` command on
+# 65,537 nodes, its 190 MB field.csv included, peaked at 885 MB resident
+MAX_NODES = 16 * 4097
 
 
 def _min_steps(rho, T, q: PiecewiseQ, cfl: float) -> float:
@@ -296,13 +305,12 @@ def _min_steps(rho, T, q: PiecewiseQ, cfl: float) -> float:
     every step has q(t) dt <= c = cfl/rho, so if q grows by at most a factor r
     over a step, the count is >= int_0^T q dt / (c r).  r = 1 on a const piece;
     on a power piece (1-t)^-a, dt/(1-t) <= c M with M = max(1, (1-T)^(a-1)), so
-    r = (1 - c M)^-a (no bound if c M >= 1).  Other pieces give no bound, nor
-    does a jump up at a breakpoint, where a step reads the lower value."""
+    r = (1 - c M)^-a (no bound if c M >= 1).  Other pieces give no bound.  A
+    jump at a breakpoint needs no guard: the step that leaves it reads the
+    larger of the two values there."""
     c, r = cfl / rho, 1.0
-    for k, (t0, _, kind, pay) in enumerate(q.pieces):
+    for _, _, kind, pay in q.pieces:
         if kind not in ("const", "power"):
-            return 0.0
-        if k and (pay if kind == "const" else (1.0 - t0) ** -pay) > q.value(t0):
             return 0.0
         if kind == "power":
             reach = c * max(1.0, (1.0 - T) ** (pay - 1.0))
@@ -313,12 +321,14 @@ def _min_steps(rho, T, q: PiecewiseQ, cfl: float) -> float:
 def _step_plan(rho, T, q: PiecewiseQ, cfl: float, shifts):
     """One walk over [0, T] that yields everything the stepping loop needs
     from the time axis: the step sizes, honoring q(t) dt <= cfl/rho and
-    dt <= T/MIN_STEPS and landing exactly on every breakpoint of q; q and
-    the gauge shift at both implicit stages of every step (the Rannacher
-    halves for the first two steps, else the trapezoidal and BDF2 stages);
-    the time after each step; and each step's gauge increment, rho times
-    Simpson's rule for the integral of the shift over the step (None when
-    `shifts`, which maps a list of q values to their shifts, is None).
+    dt <= T/MIN_STEPS and landing exactly on every breakpoint of q (a step
+    that leaves a breakpoint is sized by the larger of the values of the two
+    pieces that meet there); q and the gauge shift at both implicit stages
+    of every step (the Rannacher halves for the first two steps, else the
+    trapezoidal and BDF2 stages); the time after each step; and each step's
+    gauge increment, rho times Simpson's rule for the integral of the shift
+    over the step (None when `shifts`, which maps a list of q values to
+    their shifts, is None).
     Simpson's nodes start from a = t - dt, taken after the step.
     """
     if _min_steps(rho, T, q, cfl) > MAX_STEPS + len(q.pieces):  # landing steps may pass
@@ -326,10 +336,12 @@ def _step_plan(rho, T, q: PiecewiseQ, cfl: float, shifts):
     dt_max = T / MIN_STEPS
     brk = iter(sorted(b for b in q.breakpoints() if 0.0 < b < T))
     nb = next(brk, T)
+    # q.value(b) reads the piece that ends at breakpoint b; this, the one that starts there
+    leaving = {p[0]: PiecewiseQ._on_piece(p, p[0]) for p in q.pieces}
     steps, stage_q, ends = [], [], []
     t = 0.0
     while t < T - 1e-15:
-        dt = min(dt_max, cfl / (rho * q.value(t)))
+        dt = min(dt_max, cfl / (rho * max(q.value(t), leaving.get(t, 0.0))))
         if t + dt >= nb - 1e-15:
             dt, t_next, nb = nb - t, nb, next(brk, T)
         elif len(steps) == MAX_STEPS:
@@ -383,7 +395,18 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
     if q is None:
         q = PiecewiseQ.singular(alpha, T)
 
-    m = int(round(2.0 * grids.x_max / grids.dx))
+    span = 2.0 * grids.x_max
+    if not span / grids.dx >= 1.5:  # fewer than two intervals after rounding
+        raise DomainError(f"a dx of {grids.dx:g} over [-{grids.x_max:g}, {grids.x_max:g}] "
+                          "gives fewer than 3 grid nodes")
+    if span / grids.dx > MAX_NODES - 1:
+        fit = span / (MAX_NODES - 1)
+        unit = 10.0 ** (math.floor(math.log10(fit)) - 2)
+        raise NumericalFailure(
+            f"a dx of {grids.dx:g} over [-{grids.x_max:g}, {grids.x_max:g}] exceeds the budget "
+            f"of {MAX_NODES} grid nodes; the smallest dx that fits is "
+            f"{math.ceil(fit / unit) * unit:.3g}")
+    m = int(round(span / grids.dx))
     x = np.linspace(-grids.x_max, grids.x_max, m + 1)
     h = x[1] - x[0]
     u = np.asarray(initial(x), dtype=float).copy()

@@ -8,11 +8,11 @@ beyond the classical turning point.  Both reductions are symmetric
 tridiagonal.  Eigenvalues come from LAPACK bisection (dstebz) on three grids
 h, h/2 and h/4 (halved further while the estimate misses the accuracy):
 Richardson values from (h, h/2) and from (h/2, h/4) differ by the error
-estimate of the finer one.  The coarse grids compute eigenvalues only;
-eigenvectors (dstein, then inverse iteration) are taken on the final grid
-for the kept levels alone.  The two parity classes are solved at the same
-time, the even one on a worker thread: dstebz and dstein are called through
-scipy's Cython exports, which release the GIL for the call.
+estimate of the finer one.  The two parity classes are bisected at the same
+time, the even one on a worker thread: dstebz is called through scipy's
+Cython export, which releases the GIL for the call.  The coarse grids give
+eigenvalues only; the eigenvectors of the kept levels are taken on the
+final grid alone, by two sweeps of inverse iteration.
 
 Only q = 1 is ever solved directly; other q follow from the exact scaling
 
@@ -39,6 +39,10 @@ from .files import write_csv, write_json
 DEFAULT_H = 1.0 / 256.0
 DEFAULT_ACCURACY = 1e-8
 MAX_REFINEMENTS = 3
+# the points budget of one parity class on one grid.  A solve peaks at about
+# 176 B a point of its finest grid (both classes' tridiagonals and dstebz
+# workspaces, the grid, the previous grid's arrays; traced), 740 MB at it
+MAX_CLASS_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,14 @@ def _parity_tridiag(alpha: float, h: float, x_max: float, even: bool, q: float =
     """Half-line tridiagonal reduction on the staggered grid.
 
     Even levels use a mirror ghost (f(-h/2) = f(h/2)), odd levels an
-    antisymmetric ghost (f(-h/2) = -f(h/2)); Dirichlet beyond x_max.
+    antisymmetric ghost (f(-h/2) = -f(h/2)); Dirichlet beyond x_max.  A
+    grid over MAX_CLASS_POINTS is a NumericalFailure, raised before any
+    array is allocated.
     """
+    if not x_max / h <= MAX_CLASS_POINTS:
+        raise NumericalFailure(
+            f"the grid of step {h:.3g} on [0, {x_max:.4g}] needs {x_max / h:.3g} points per "
+            f"parity class, over the budget of {MAX_CLASS_POINTS}")
     n = int(round(x_max / h))
     x = (np.arange(n) + 0.5) * h
     v = q * x ** alpha
@@ -179,15 +189,15 @@ def _cython_lapack(name, n_args):
     return prototype(_capsule_pointer(capsule, _capsule_name(capsule)))
 
 
-_ROUTINES = {"dstebz": _cython_lapack("dstebz", 18), "dstein": _cython_lapack("dstein", 13)}
+_DSTEBZ = _cython_lapack("dstebz", 18)
 
 
-def _prepared(name, *args):
-    """A zero-argument call of LAPACK `name` with every argument allocated
-    by the caller: arrays (one-element ones for scalars) pass by address and
-    bytes as character flags.  The call allocates nothing, so it may run on a
+def _prepared(*args):
+    """A zero-argument call of dstebz with every argument allocated by the
+    caller: arrays (one-element ones for scalars) pass by address and bytes
+    as character flags.  The call allocates nothing, so it may run on a
     worker thread without that thread growing a malloc arena of its own."""
-    return partial(_ROUTINES[name], *[
+    return partial(_DSTEBZ, *[
         a if isinstance(a, bytes) else a.ctypes.data_as(ctypes.c_void_p) for a in args])
 
 
@@ -195,53 +205,26 @@ def _int(v):
     return np.array([v], dtype=np.intc)
 
 
-def _checked(name, info):
-    if info[0] != 0:
-        raise NumericalFailure(f"LAPACK {name} failed (info {int(info[0])})")
-
-
 def _stebz(d, e, k):
     """dstebz for the k lowest eigenvalues of the symmetric tridiagonal with
     diagonal d and off-diagonal e, as scipy's eigh_tridiagonal calls it:
     index range, absolute tolerance 0, block order.  Returns the prepared
-    call and a function that, after it, gives (w, iblock, isplit) with the
-    k eigenvalues in block order."""
+    call and a function that, after it, gives the k eigenvalues in block
+    order.  iblock and isplit are dstebz's workspace here."""
     d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
     n = len(d)
     if d.ndim != 1 or e.shape != (n - 1,):
         raise ValueError(f"need d of length n and e of length n - 1, got {d.shape} and {e.shape}")
     w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc)
     m, info = _int(0), _int(0)
-    call = _prepared("dstebz", b"I", b"B", _int(n), np.zeros(1), np.zeros(1), _int(1), _int(k),
+    call = _prepared(b"I", b"B", _int(n), np.zeros(1), np.zeros(1), _int(1), _int(k),
                      np.zeros(1), d, e, m, _int(0), w, iblock, isplit, np.empty(4 * n),
                      np.empty(3 * n, dtype=np.intc), info)
 
     def result():
-        _checked("dstebz", info)
-        return w[:m[0]], iblock, isplit
-    return call, result
-
-
-def _stein(d, e, w, iblock, isplit):
-    """dstein for the eigenvectors of the tridiagonal (d, e) at the
-    eigenvalues w (block order, with dstebz's iblock and isplit).  Returns
-    the prepared call and a function that, after it, gives the vectors as
-    the rows of one array."""
-    d, e, w = (np.ascontiguousarray(a, dtype=float) for a in (d, e, w))
-    iblock, isplit = (np.ascontiguousarray(a, dtype=np.intc) for a in (iblock, isplit))
-    n, m = len(d), len(w)
-    if d.ndim != 1 or e.shape != (n - 1,) or isplit.shape != (n,) or len(iblock) < m:
-        raise ValueError("need d and isplit of length n, e of length n - 1 and an iblock "
-                         "entry per eigenvalue")
-    z = np.zeros((m, n))  # column-major n x m with leading dimension n
-    info = _int(0)
-    call = _prepared("dstein", _int(n), d, e, _int(m), w, iblock, isplit, z, _int(n),
-                     np.empty(5 * n), np.empty(n, dtype=np.intc),
-                     np.empty(m, dtype=np.intc), info)
-
-    def result():
-        _checked("dstein", info)
-        return z
+        if info[0] != 0:
+            raise NumericalFailure(f"LAPACK dstebz failed (info {int(info[0])})")
+        return w[:m[0]]
     return call, result
 
 
@@ -250,15 +233,7 @@ def _lowest_eigenvalues(d, e, k):
     ascending order, by dstebz on this thread."""
     call, result = _stebz(d, e, k)
     call()
-    return np.sort(result()[0])
-
-
-def _both(worker, even, odd):
-    """Run two prepared LAPACK calls at once: the even parity class's on the
-    worker thread, the odd one's on this thread."""
-    pending = worker.submit(even)
-    odd()
-    pending.result()
+    return np.sort(result())
 
 
 def _solve_tridiagonal(dl, d, du, b):
@@ -277,25 +252,26 @@ def _solve_tridiagonal(dl, d, du, b):
     return x
 
 
-def _refine_vector(d, e, lam, v):
-    """Two inverse-iteration sweeps to pull the eigenvector residual down to
-    the factorization floor (the LAPACK bisection vectors sit a couple of
-    orders above it)."""
+def _eigenvector(d, e, lam):
+    """The unit eigenvector of the symmetric tridiagonal (d, e) at its
+    eigenvalue lam, up to sign: two sweeps of inverse iteration from the
+    constant vector, shifted just past lam, which bring the residual down to
+    the factorization floor.  A singular pivot or a vanishing norm is a
+    NumericalFailure."""
     shifted = d - (lam + 1e-10 * (1.0 + abs(lam)))
-    cur = v
+    v = np.ones_like(d)
     for _ in range(2):
         try:
-            w = _solve_tridiagonal(e.copy(), shifted.copy(), e.copy(), cur.copy())
+            v = _solve_tridiagonal(e.copy(), shifted.copy(), e.copy(), v)
         except LinAlgError:
-            return cur
-        nrm = float(np.linalg.norm(w))
+            raise NumericalFailure(f"inverse iteration at eigenvalue {lam!r} "
+                                   "met a singular pivot") from None
+        nrm = float(np.linalg.norm(v))
         if not math.isfinite(nrm) or nrm == 0.0:
-            return cur
-        w = w / nrm
-        if float(w @ v) < 0:
-            w = -w
-        cur = w
-    return cur
+            raise NumericalFailure(f"inverse iteration at eigenvalue {lam!r} "
+                                   f"gave a vector of norm {nrm}")
+        v = v / nrm
+    return v
 
 
 def _normalized(f, h):
@@ -333,17 +309,19 @@ def solve_spectrum(alpha: float, n_max: int, accuracy: float = DEFAULT_ACCURACY,
     with ThreadPoolExecutor(max_workers=1) as worker:
         def levels(hh):
             """Eigenvalues of both parity classes on the grid of step hh,
-            bisected at the same time; also each class's tridiagonal with
-            its dstebz result, for the eigenvectors."""
+            bisected at the same time, the even class on the worker thread;
+            also each class's tridiagonal with its sorted eigenvalues."""
             classes = []
             for even, k in zip((True, False), kept):
                 x, d, e = _parity_tridiag(alpha, hh, x_max, even, q)
                 classes.append((d, e, *_stebz(d, e, k + 1)))
             (_, _, even_call, _), (_, _, odd_call, _) = classes
-            _both(worker, even_call, odd_call)
-            found = [(d, e, *result()) for d, e, _, result in classes]
-            (_, _, w_even, _, _), (_, _, w_odd, _, _) = found
-            return x, _interleave(np.sort(w_even), np.sort(w_odd))[:n_max], found
+            pending = worker.submit(even_call)
+            odd_call()
+            pending.result()
+            found = [(d, e, np.sort(result())) for d, e, _, result in classes]
+            (_, _, w_even), (_, _, w_odd) = found
+            return x, _interleave(w_even, w_odd)[:n_max], found
 
         # three grids h, h/2, h/4: two Richardson values whose difference
         # estimates the error of the finer one
@@ -365,21 +343,12 @@ def solve_spectrum(alpha: float, n_max: int, accuracy: float = DEFAULT_ACCURACY,
                 f"{MAX_REFINEMENTS} refinements (last estimates "
                 f"{est.max():.2e})")
 
-        if not (lam_rich[0] > 0 and np.all(np.diff(lam_rich) > 0)):
-            raise NumericalFailure("eigenvalues not positive strictly increasing")
+    if not (lam_rich[0] > 0 and np.all(np.diff(lam_rich) > 0)):
+        raise NumericalFailure("eigenvalues not positive strictly increasing")
 
-        # eigenvectors of the kept levels only, passed to dstein in block order
-        vectors = []
-        for (d, e, w, iblock, isplit), k in zip(found, kept):
-            pick = np.sort(np.argsort(w)[:k])
-            vectors.append((d, e, w[pick], *_stein(d, e, w[pick], iblock[pick], isplit)))
-        (*_, even_call, _), (*_, odd_call, _) = vectors
-        _both(worker, even_call, odd_call)
-
-    funcs = []
-    for d, e, w, _, result in vectors:
-        z = result()
-        funcs.append([_normalized(_refine_vector(d, e, w[j], z[j]), hf) for j in np.argsort(w)])
+    # eigenvectors of the kept levels only, in ascending order per class
+    funcs = [[_normalized(_eigenvector(d, e, lam), hf) for lam in w[:k]]
+             for (d, e, w), k in zip(found, kept)]
 
     return EigenSystem(
         alpha=alpha, q=q, grid=xf, eigenvalues=lam_rich,

@@ -86,6 +86,24 @@ class TestRun:
         assert code == 1 and "no experiments" in text
 
 
+def _exits_in_one_line(argv, out, code):
+    """Run `bbmlab argv` in a child process under a 3 GiB address-space
+    limit, which keeps a grid that is allocated anyway from reaching the
+    machine, and check its exit code and one-line message."""
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "bbmlab.cli", *argv.split(),
+                           "--out", str(out)], env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    prefix = {1: "validation error: ", 2: "numerical failure: "}[code]
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
 class TestCli:
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["mass", "--s", "4", "--t-end", "8", "--alpha", "1",
@@ -118,19 +136,20 @@ class TestCli:
     def test_path_grid_over_budget_exit(self, tmp_path, argv):
         # a tiny step asks for a path grid of hundreds of GiB, or for an
         # interval count that overflows to infinity: refused with one line
-        # before anything is allocated (the address-space limit keeps a grid
-        # that is allocated anyway from reaching the machine)
-        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-m", "bbmlab.cli", *argv.split(),
-                               "--out", str(tmp_path)], env=env, preexec_fn=limit,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2, done.stderr
-        assert "Traceback" not in done.stderr
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        # before anything is allocated
+        _exits_in_one_line(argv, tmp_path, 2)
+
+    @pytest.mark.parametrize("argv, code", [
+        ("pde --t-end 0.5 --rho 1 --alpha 1 --dx 100", 1),
+        ("kernel-g --s 4 --t-end 16 --alpha 1 --dx 100", 1),
+        ("pde --t-end 0.5 --rho 1 --alpha 1 --x-max 1e6", 2),
+        ("spectrum --alpha 1 --n-max 1 --q 1e-300", 2),
+    ], ids=["pde-one-node", "kernel_g-one-node", "pde-2.56e8-nodes", "spectrum-q-1e-300"])
+    def test_solver_grid_out_of_range_exit(self, tmp_path, argv, code):
+        # a finite-difference grid of one node, or one far over the node or
+        # point budget of its solver, is refused with one line before the
+        # grid is allocated
+        _exits_in_one_line(argv, tmp_path, code)
 
     def test_cli_covers_every_operation(self):
         import argparse
@@ -231,9 +250,10 @@ class TestBoundary:
         ["mto1", "--alpha", "1", "--t-end", "1", "--functional", "x_cylinder", "--n-sim", "5",
          "--n-mc", "200", "--seed", "1"],
         ["mto2", "--t-end", "1", "--f-functional", "weird", "--seed", "1"],
+        ["mass", "--s", "1", "--t-end", "2", "--family", "SinPow", "--seed", "1"],
     ], ids=["missing-s", "seed-2**64", "t_end-inf", "family-Foo", "alphas-a,b", "only-x",
             "only-99", "only-0,3", "only-empty", "functional-x_cylinder",
-            "f_functional-weird"])
+            "f_functional-weird", "mass-family"])
     def test_bad_flags(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("BBMLAB_OUT", raising=False)
@@ -281,7 +301,12 @@ class TestBoundary:
         CFG.replace("operation = spectrum", "operation = porism").replace(
             "seed = 1", "seed = -1").replace("n_max", "replicates"),
         "[experiment]\nname = m\noperation = mass\nseed = 1\n[params]\nt_end = 8\n",
-    ], ids=["garbage", "seed-abc", "replicates-two", "seed-negative", "mass-without-s"])
+        CFG.replace("[ladder]", "alpha = 1\n[ladders]"),
+        CFG.replace("replicates = 1", "replicate = 4"),
+        CFG.replace("replicates = 1", "replicates = 1\nouptut = x"),
+        CFG.replace("replicates = 1", "replicates = 3"),
+    ], ids=["garbage", "seed-abc", "replicates-two", "seed-negative", "mass-without-s",
+            "section-ladders", "key-replicate", "key-ouptut", "replicates-deterministic"])
     def test_bad_config(self, text, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -15,7 +15,9 @@ operation runs through `Operation.execute`, and its parameters are parsed
 and defaulted by the registry alone.  These tests read the source with `ast`
 and fail on a draw, a stream, a key, a replicate seed, a run or a parameter
 default made anywhere else.  The finite-difference grid options are exactly
-those the registry exposes.
+those the registry exposes.  Eigenvectors have one path too: inverse
+iteration in `spectral._eigenvector`, whose tridiagonal solver only the
+TR-BDF2 stages share; no second LAPACK eigenvector routine is bound.
 """
 
 import ast
@@ -77,6 +79,13 @@ def test_one_replicate_loop(attr, homes):
     replicates; `run_coupled` runs its members on one seed."""
     sites = {where for module, where in _calls(attr) if module == "sim"}
     assert sites == homes, f"{attr} called in sim outside {sorted(homes)}: {sorted(sites)}"
+
+
+def test_one_tridiagonal_solver_path():
+    assert set(_calls("_solve_tridiagonal")) == {("spectral", "_eigenvector"),
+                                                 ("pde", "implicit_solve")}
+    named = [path.name for path in sorted(SRC.glob("*.py")) if "dstein" in path.read_text()]
+    assert not named, f"dstein named in {named}"
 
 
 def test_operations_run_through_execute():
