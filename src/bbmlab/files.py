@@ -5,15 +5,16 @@ documents have indent 2, sorted keys and a final newline.  CSV tables have
 a header row, then one row per record whose cells are the str() of Python
 scalars: numpy columns are turned into lists first, so a float cell is its
 shortest round-trip repr (never a numpy repr such as `np.float64(...)`).
-Tables are formatted a column at a time, in blocks of rows, so the text
-of a table is built one block at a time and never held whole.
+Tables are formatted a column at a time, in blocks of rows that hold about
+CELLS_PER_BLOCK cells (at least one row), so the text of a table, long or
+wide, is built one block at a time and never held whole.
 """
 
 from __future__ import annotations
 
 import json
 
-ROWS_PER_BLOCK = 1 << 16
+CELLS_PER_BLOCK = 3 << 16
 
 
 def write_json(path, payload) -> str:
@@ -33,9 +34,10 @@ def write_csv(path, header, columns) -> str:
     """Write equal-length columns (numpy arrays or lists) under the header
     names; returns the path as a string."""
     n_rows = min((len(c) for c in columns), default=0)
+    rows = max(1, CELLS_PER_BLOCK // max(1, len(columns)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, ROWS_PER_BLOCK):
-            block = [_cells(c[start:start + ROWS_PER_BLOCK]) for c in columns]
+        for start in range(0, n_rows, rows):
+            block = [_cells(c[start:start + rows]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
     return str(path)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import shutil
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -129,7 +128,8 @@ def spec_from_config(text: str) -> ExperimentSpec:
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 @dataclass
@@ -170,17 +170,8 @@ def run_experiment(spec: ExperimentSpec, root: Path | str | None = None,
                             for k, v in expected.items()):
             digests.update(expected)
             continue
-        # work in a temp dir, atomically renamed on success
-        tmp_dir = run_dir / (label + ".tmp")
-        if tmp_dir.exists():
-            shutil.rmtree(tmp_dir)
-        files = op.execute(params, tmp_dir)
-        cell_dir = run_dir / label
-        if cell_dir.exists():
-            shutil.rmtree(cell_dir)
-        tmp_dir.replace(cell_dir)
-        for f in files:
-            digests[str(Path(label) / Path(f).name)] = _digest(cell_dir / Path(f).name)
+        for f in op.execute(params, run_dir / label):
+            digests[str(Path(label) / Path(f).name)] = _digest(Path(f))
     record = RunRecord(
         spec_hash=spec_hash, started=started, finished=time.time(),
         artifact_version=ARTIFACT_VERSION, digests=digests, status="complete",

@@ -7,12 +7,15 @@ command displays.
 The registry is the one place an operation's parameters are declared: each
 name has a parser and a default, or is required.  `Operation.execute` binds
 the given values to the complete typed parameters and runs the operation,
-which reads `a[key]` and nothing else.
+which reads `a[key]` and nothing else.  `execute` is also the one place
+that decides how an operation's files reach disk: staged beside the output
+directory, published whole on success, and removed on failure.
 """
 
 from __future__ import annotations
 
 import math
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -131,11 +134,26 @@ class Operation:
         return bound
 
     def execute(self, raw: dict, out: Path) -> list:
-        """Bind `raw`, make the output directory and run: the one way in
-        for the CLI, the harness and the acceptance suite."""
+        """Bind `raw` and run into the staging directory `<out>.tmp`, which
+        then replaces `out` whole; returns the final paths.  A staging
+        directory left by a killed run is removed first, and on any failure
+        the new one is removed, so `out` holds one whole run or is left as
+        it was.  The one way in for the CLI, the harness and the acceptance
+        suite."""
         args = self.bind(raw)
-        out.mkdir(parents=True, exist_ok=True)
-        return self.run(args, out)
+        stage = out.with_name(out.name + ".tmp")
+        if stage.exists():
+            shutil.rmtree(stage)
+        stage.mkdir(parents=True)
+        try:
+            names = [Path(f).name for f in self.run(args, stage)]
+            if out.exists():
+                shutil.rmtree(out)
+            stage.replace(out)
+        except BaseException:
+            shutil.rmtree(stage, ignore_errors=True)
+            raise
+        return [str(out / name) for name in names]
 
 
 def _model(a) -> ModelParams:

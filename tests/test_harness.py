@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -89,7 +90,8 @@ class TestRun:
 def _exits_in_one_line(argv, out, code):
     """Run `bbmlab argv` in a child process under a 3 GiB address-space
     limit, which keeps a grid that is allocated anyway from reaching the
-    machine, and check its exit code and one-line message."""
+    machine, and check its exit code, its one-line message and that it
+    left nothing under `out`."""
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -102,6 +104,7 @@ def _exits_in_one_line(argv, out, code):
     lines = done.stderr.splitlines()
     prefix = {1: "validation error: ", 2: "numerical failure: "}[code]
     assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert not any(out.iterdir())
 
 
 class TestCli:
@@ -382,6 +385,74 @@ class TestBoundary:
         assert blocker.read_text() == ""
 
     def test_result_file_cannot_be_written(self, tmp_path, capsys):
-        (tmp_path / "spectrum" / "eigensystem.csv").mkdir(parents=True)
+        # the run writes into spectrum.tmp, which cannot replace a file
+        blocker = tmp_path / "spectrum"
+        blocker.write_text("kept")
         self._output_fails(["spectrum", "--alpha", "1", "--n-max", "1",
                             "--out", str(tmp_path)], capsys)
+        assert blocker.read_text() == "kept"
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+PDE_LADDER = """
+[experiment]
+name = bad
+operation = pde
+seed = 1
+
+[params]
+t_end = 0.5
+rho = 1
+alpha = 1
+
+[ladder]
+dx = 0.0625,100
+"""
+
+
+class TestStaging:
+    """`Operation.execute` runs into `<out>.tmp`: on success it replaces
+    `<out>` whole, on any failure it is removed and `<out>` is left as it
+    was."""
+
+    def test_failing_cell_keeps_finished_cells(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(PDE_LADDER)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 1
+        assert "fewer than 3 grid nodes" in capsys.readouterr().err
+        run_dir = tmp_path / "runs" / "bad"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["dx=0.0625"]
+        assert sorted(p.name for p in (run_dir / "dx=0.0625").iterdir()) == [
+            "field.csv", "field.json"]
+
+    def test_rerun_holds_only_the_new_files(self, tmp_path, capsys):
+        argv = ["couple", "--t-end", "2", "--seed", "3", "--out", str(tmp_path)]
+        assert main(argv + ["--alphas", "0.5,1"]) == 0
+        (tmp_path / "couple.tmp").mkdir()  # left by a killed run
+        (tmp_path / "couple.tmp" / "stale.csv").touch()
+        capsys.readouterr()
+        assert main(argv + ["--alphas", "1,2"]) == 0
+        printed = capsys.readouterr().out.split()
+        out = tmp_path / "couple"
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert sorted(printed) == sorted(str(p) for p in out.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == [
+            "coupling.json", "snapshots_alpha_1p0.csv", "snapshots_alpha_2p0.csv"]
+        assert json.loads((out / "coupling.json").read_text())["alphas"] == [1.0, 2.0]
+
+    def test_interrupted_run_leaves_the_earlier_result(self, tmp_path, monkeypatch):
+        argv = ["spectrum", "--alpha", "1", "--n-max", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        tree = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        before = tree()
+
+        def interrupted(a, out):
+            (out / "eigensystem.csv").write_text("partial\n")
+            raise KeyboardInterrupt
+
+        op = operations.REGISTRY["spectrum"]
+        monkeypatch.setitem(operations.REGISTRY, "spectrum",
+                            dataclasses.replace(op, run=interrupted))
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert tree() == before

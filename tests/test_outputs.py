@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbmlab.cli import main
-from bbmlab.files import ROWS_PER_BLOCK, write_csv
+from bbmlab.files import CELLS_PER_BLOCK, write_csv
 from bbmlab.model import ModelParams, RateFamily, RateTable
 from bbmlab.rng import CounterRNG, mix_words
 from bbmlab.sim import (
@@ -179,10 +179,11 @@ class TestLineageIds:
 
     def test_hexes_across_blocks(self):
         pop, _ = run_discrete(ModelParams(alpha=1.0, rate_family=RateFamily.HOMOGENEOUS), 17, 2)
-        assert pop.size == 2 ** 17 > ROWS_PER_BLOCK
+        rows = CELLS_PER_BLOCK // 3  # a block of lattice.csv's three columns
+        assert pop.size == 2 ** 17 > rows
         ids = _hex_ids(pop)
         # the two blocks write_csv asks for
-        got = ids[:ROWS_PER_BLOCK] + ids[ROWS_PER_BLOCK:2 * ROWS_PER_BLOCK]
+        got = ids[:rows] + ids[rows:2 * rows]
         assert got == [pop.lineage_hex(i) for i in range(pop.size)]
 
     def test_hexes_of_extreme_words(self):
@@ -286,26 +287,32 @@ class TestWriteCsv:
     def test_rows_beyond_one_block(self, tmp_path, monkeypatch):
         from bbmlab import files
 
-        monkeypatch.setattr(files, "ROWS_PER_BLOCK", 7)
+        monkeypatch.setattr(files, "CELLS_PER_BLOCK", 21)  # 7 rows of 3 columns
         columns = [np.arange(23), np.linspace(-1.0, 1.0, 23), [f"id{i}" for i in range(23)]]
         assert _written(tmp_path, ["a", "b", "c"], columns) == _old_rows(["a", "b", "c"], columns)
 
     def test_columns_are_sliced_one_block_at_a_time(self, tmp_path):
         # a column such as HexIds formats what a slice asks for, so a wider
-        # slice would hold more than one block of text at once
+        # slice would hold more than one block of text at once; a block holds
+        # a budget of cells, so a wide table (field.csv has a column per
+        # node) is cut into blocks of few rows
         widths = []
 
         class Spy(HexIds):
-            def __getitem__(self, rows):
-                widths.append(len(range(*rows.indices(len(self)))))
-                return super().__getitem__(rows)
+            def __getitem__(self, key):
+                widths.append(len(range(*key.indices(len(self)))))
+                return super().__getitem__(key)
 
-        n = 2 * ROWS_PER_BLOCK + 5
-        words = np.arange(n, dtype=np.uint64)
-        ids = Spy(words, words)
-        text = _written(tmp_path, ["lineage_id", "x"], [ids, np.zeros(n)])
-        assert widths == [ROWS_PER_BLOCK, ROWS_PER_BLOCK, 5]
-        assert text.splitlines()[1:] == [f"{h},0.0" for h in HexIds(words, words)[:]]
+        for n_columns, rows in [(2, CELLS_PER_BLOCK // 2), (CELLS_PER_BLOCK // 4, 4)]:
+            widths.clear()
+            n = 2 * rows + 3
+            words = np.arange(n, dtype=np.uint64)
+            ids = Spy(words, words)
+            text = _written(tmp_path, ["lineage_id"] + ["x"] * (n_columns - 1),
+                            [ids] + [np.zeros(n)] * (n_columns - 1))
+            assert widths == [rows, rows, 3]
+            assert text.splitlines()[1:] == [h + ",0.0" * (n_columns - 1)
+                                             for h in HexIds(words, words)[:]]
 
     def test_zero_rows(self, tmp_path):
         assert _written(tmp_path, ["a", "b"], [[], np.empty(0)]) == "a,b\n"

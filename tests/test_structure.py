@@ -12,7 +12,10 @@ child's lineage id is derived only where the ledger drains and where the
 lattice builds a generation: one way to derive it, and a traced count of
 `rng.child_id` calls that keeps its meaning.  Every
 operation runs through `Operation.execute`, and its parameters are parsed
-and defaulted by the registry alone.  These tests read the source with `ast`
+and defaulted by the registry alone.  `execute` is also the one place that
+decides how result files reach disk: a run writes into `<out>.tmp`, which
+replaces `<out>` whole on success and is removed on failure, so only it
+removes a directory tree.  These tests read the source with `ast`
 and fail on a draw, a stream, a key, a replicate seed, a run or a parameter
 default made anywhere else.  The finite-difference grid options are exactly
 those the registry exposes.  Eigenvectors have one path too: inverse
@@ -53,6 +56,7 @@ def _calls(attr):
     ("Philox", ("mc", "_chunks")),
     ("perf_counter", ("acceptance", "run_suite")),
     ("normal", ("sim", "_move")),
+    ("rmtree", ("operations", "execute")),
 ])
 def test_one_site(attr, home):
     sites = _calls(attr)
