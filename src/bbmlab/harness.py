@@ -7,7 +7,9 @@ runs the cells one after another and produces one output directory per
 cell with deterministic CSV/JSON files, plus a manifest holding the spec
 hash, timestamps and per-file digests.
 Result files never embed wall-clock data, so a rerun with the same seed
-is byte-identical; reruns skip completed cells unless forced.
+is byte-identical; reruns skip completed cells unless forced.  A run whose
+cell fails still writes its manifest, with status "failed" and the digests
+of the cells it finished, so a rerun skips those and `report` flags it.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def run_experiment(spec: ExperimentSpec, root: Path | str | None = None,
     if manifest_path.exists() and not force:
         try:
             old = json.loads(manifest_path.read_text())
-            if old.get("spec_hash") == spec_hash and old.get("status") == "complete":
+            if old.get("spec_hash") == spec_hash:  # a cell counts once its digests verify
                 previous = old.get("digests", {})
         except (json.JSONDecodeError, OSError):
             previous = {}
@@ -163,30 +165,35 @@ def run_experiment(spec: ExperimentSpec, root: Path | str | None = None,
     op = operations.REGISTRY[spec.operation]
     started = time.time()
     digests = {}
+    status = "failed"  # until every cell is done; the manifest is written either way
 
-    for label, params in spec.cells():
-        expected = {k: v for k, v in previous.items() if k.startswith(label + "/")}
-        if expected and all((run_dir / k).exists() and _digest(run_dir / k) == v
-                            for k, v in expected.items()):
-            digests.update(expected)
-            continue
-        for f in op.execute(params, run_dir / label):
-            digests[str(Path(label) / Path(f).name)] = _digest(Path(f))
-    record = RunRecord(
-        spec_hash=spec_hash, started=started, finished=time.time(),
-        artifact_version=ARTIFACT_VERSION, digests=digests, status="complete",
-    )
-    payload = {"experiment": spec.name, "operation": spec.operation,
-               "anchor": op.anchor, **asdict(record)}
-    write_json(manifest_path, payload)
+    try:
+        for label, params in spec.cells():
+            expected = {k: v for k, v in previous.items() if k.startswith(label + "/")}
+            if expected and all((run_dir / k).exists() and _digest(run_dir / k) == v
+                                for k, v in expected.items()):
+                digests.update(expected)
+                continue
+            for f in op.execute(params, run_dir / label):
+                digests[str(Path(label) / Path(f).name)] = _digest(Path(f))
+        status = "complete"
+    finally:
+        record = RunRecord(
+            spec_hash=spec_hash, started=started, finished=time.time(),
+            artifact_version=ARTIFACT_VERSION, digests=digests, status=status,
+        )
+        payload = {"experiment": spec.name, "operation": spec.operation,
+                   "anchor": op.anchor, **asdict(record)}
+        write_json(manifest_path, payload)
     return record
 
 
 def report(run_root: Path | str) -> tuple[str, int]:
     """Human-readable summary of every experiment under run_root.
 
-    Digest mismatches and missing files are flagged; the report is still
-    produced.  Returns (text, exit_code)."""
+    Digest mismatches, missing files and experiments whose status is not
+    "complete" are flagged; the report is still produced.  Returns (text,
+    exit_code)."""
     run_root = Path(run_root)
     manifests = sorted(run_root.glob("*/manifest.json")) + (
         [run_root / "manifest.json"] if (run_root / "manifest.json").exists() else [])
@@ -206,6 +213,8 @@ def report(run_root: Path | str) -> tuple[str, int]:
                      f"anchor: {data.get('anchor')}")
         lines.append(f"  spec_hash: {data.get('spec_hash')}  "
                      f"status: {data.get('status')}")
+        if data.get("status") != "complete":
+            bad += 1
         for rel, dig in sorted(data.get("digests", {}).items()):
             path = mf.parent / rel
             if not path.exists():

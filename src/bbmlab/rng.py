@@ -14,13 +14,14 @@ per draw, with bits identical to mixing the whole tuple.  Counter-based
 generators split key and counter the same way (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011).
 
-Uniforms are mapped to (0, 1), normals via the exact inverse CDF and
-exponentials via -log(U); all are vectorized over particle arrays, and all
-draw through `CounterRNG.uniform`.
+Every draw goes through `CounterRNG.uniform`, which maps the mixed bits to
+(0, 1); its callers turn them into normals (the exact inverse CDF) and
+exponentials (-log U).  The counters broadcast against the keys, so a
+block of k slots for n particles is one (k, n) mix, with bits identical to
+k draws of one row each.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -58,13 +59,19 @@ def mix_words(*words):
     return h
 
 
+_ID_SALTS = np.array([0xA5A5A5A5A5A5A5A5, 0x5A5A5A5A5A5A5A5A], dtype=np.uint64)
+
+
 def child_id(parent_hi, parent_lo, event_index):
     """Derive a child's 128-bit lineage id from the parent id and the index
-    of the parent proposal event at which it was born."""
-    ev = np.asarray(event_index, dtype=np.uint64)
-    hi = mix_words(parent_hi, parent_lo, ev, np.uint64(0xA5A5A5A5A5A5A5A5))
-    lo = mix_words(parent_lo, parent_hi, ev, np.uint64(0x5A5A5A5A5A5A5A5A))
-    return hi, lo
+    of the parent proposal event at which it was born.  hi mixes (parent hi,
+    parent lo, index, salt) and lo (parent lo, parent hi, index, salt'), as
+    the two rows of one stacked chain."""
+    hi, lo, ev = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64)
+                                       for w in (parent_hi, parent_lo, event_index)))
+    salts = _ID_SALTS.reshape((2,) + (1,) * ev.ndim)
+    h = mix_words(np.stack([hi, lo]), np.stack([lo, hi]), ev, salts)
+    return h[0], h[1]
 
 
 class CounterRNG:
@@ -76,21 +83,19 @@ class CounterRNG:
 
     def __init__(self, seed):
         self.seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        self._seeded = mix_words(self.seed)  # the chain after the seed word
 
     def key(self, hi, lo):
         """Lineage key of the ids (hi, lo) under this seed."""
-        return mix_words(self.seed, hi, lo)
+        with np.errstate(over="ignore"):
+            return _absorb(_absorb(self._seeded, hi), lo)
 
     def uniform(self, key, ctr):
-        """U(0,1) from counter slot `ctr`; never returns exactly 0 or 1."""
+        """U(0,1) from counter slot `ctr`; never returns exactly 0 or 1.
+        `ctr` broadcasts against `key`: counters of shape (k, n) against n
+        keys draw k slots of each key in one mix."""
         with np.errstate(over="ignore"):
             bits = _absorb(key, ctr)
         # 53 significant bits, shifted into (0, 1); only a zero moves up
         u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
         return np.maximum(u, 2.0 ** -54)
-
-    def exponential(self, key, ctr):
-        return -np.log(self.uniform(key, ctr))
-
-    def normal(self, key, ctr):
-        return ndtri(self.uniform(key, ctr))

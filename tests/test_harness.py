@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -373,6 +374,7 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("output error") and "Traceback" not in err
         assert len(err.splitlines()) == 1
+        return err
 
     def test_out_is_an_existing_file(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -388,8 +390,9 @@ class TestBoundary:
         # the run writes into spectrum.tmp, which cannot replace a file
         blocker = tmp_path / "spectrum"
         blocker.write_text("kept")
-        self._output_fails(["spectrum", "--alpha", "1", "--n-max", "1",
-                            "--out", str(tmp_path)], capsys)
+        err = self._output_fails(["spectrum", "--alpha", "1", "--n-max", "1",
+                                  "--out", str(tmp_path)], capsys)
+        assert str(blocker) in err and "PosixPath(" not in err
         assert blocker.read_text() == "kept"
         assert sorted(tmp_path.iterdir()) == [blocker]
 
@@ -421,9 +424,36 @@ class TestStaging:
         assert main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 1
         assert "fewer than 3 grid nodes" in capsys.readouterr().err
         run_dir = tmp_path / "runs" / "bad"
-        assert sorted(p.name for p in run_dir.iterdir()) == ["dx=0.0625"]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["dx=0.0625", "manifest.json"]
         assert sorted(p.name for p in (run_dir / "dx=0.0625").iterdir()) == [
             "field.csv", "field.json"]
+
+    def test_failing_cell_leaves_a_failed_manifest(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(PDE_LADDER)
+        argv = ["run", str(cfg), "--out", str(tmp_path / "runs")]
+        assert main(argv) == 1
+        run_dir = tmp_path / "runs" / "bad"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert sorted(manifest["digests"]) == ["dx=0.0625/field.csv", "dx=0.0625/field.json"]
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "runs")]) == 1
+        out = capsys.readouterr().out
+        assert "experiment: bad" in out and "status: failed" in out
+
+        executed = []
+        execute = operations.Operation.execute
+
+        def counted(op, raw, out):
+            executed.append(out.name)
+            return execute(op, raw, out)
+
+        monkeypatch.setattr(operations.Operation, "execute", counted)
+        assert main(argv) == 1
+        assert executed == ["dx=100"]
+        assert json.loads((run_dir / "manifest.json").read_text()) == {
+            **manifest, "started": ANY, "finished": ANY}
 
     def test_rerun_holds_only_the_new_files(self, tmp_path, capsys):
         argv = ["couple", "--t-end", "2", "--seed", "3", "--out", str(tmp_path)]

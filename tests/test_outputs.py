@@ -10,11 +10,14 @@ kept each lineage key as a column and the replicate loops became one.  The
 lattice digests pin every `Population` array of `run_discrete` (dtype and
 bytes), its time, size and truncation flag, and its recorded events; they
 were taken before the generation loop came to release each array at its
-last use and to move positions in place.  The continuous digests pin every
-`Population` array of `run_continuous`, its snapshots, stats and split log;
-they were taken before the ledger came to hold its run's inputs, to draw
-every Brownian increment in one move and to rewind a cap overrun by row
-count.
+last use and to move positions in place.  The last two lattice runs (one
+of 220,000 particles, whose generations end in a partial block, and one
+truncated by its cap after generations of many blocks) were pinned before
+a generation came to be built in place, in blocks of parents.  The
+continuous digests pin every `Population` array of `run_continuous`, its
+snapshots, stats and split log; they were taken before the ledger came to
+hold its run's inputs, to draw every Brownian increment in one move and to
+rewind a cap overrun by row count.
 Recorded with numpy 2.4 and scipy 1.17 on x86-64; a platform whose libm
 rounds `log`, `arctan2` or `ndtri` differently in the last bit may need them
 re-taken from a tree that predates the change.
@@ -96,11 +99,15 @@ LATTICE_RUNS = {
     "homogeneous_n14": (RateFamily.HOMOGENEOUS, 14, 7, {}),
     "sinpow_n9_events": (RateFamily.SIN_POW, 9, 5, {"record_events": True}),
     "sinpow_n20_capped": (RateFamily.SIN_POW, 20, 3, {"cap": 1000}),
+    "sinpow_n22_partial_block": (RateFamily.SIN_POW, 22, 1, {}),
+    "homogeneous_n17_capped": (RateFamily.HOMOGENEOUS, 17, 2, {"cap": 100_000}),
 }
 LATTICE_SHA256 = {
     "homogeneous_n14": "0e16e52e2da6f8a504ab5e40796627f3c83203784ff3921462590d2bb7cdfa6b",
     "sinpow_n9_events": "81e07600c33ca08b0341e15b1760b631f78c915bc9c291714053ea926dc1bd57",
     "sinpow_n20_capped": "cad9ee91897dd38678efb52f53b4995331651a63accb4f9d4d77d5e1ae04c34b",
+    "sinpow_n22_partial_block": "4c12e46f2dc5085a8b87a0374a6b060a24cd47bb639ff39d1c47e9340f5d3162",
+    "homogeneous_n17_capped": "205ebbed400eae008eb79344cc4585d6a27344e33c68995fe99b85f94b295e82",
 }
 
 
@@ -248,6 +255,17 @@ class TestCounterKey:
         bits = mix_words(rng.seed, hi, lo, ctr)
         u = np.maximum((bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53, 2.0 ** -54)
         assert rng.uniform(rng.key(hi, lo), ctr).tolist() == u.tolist()
+
+    def test_a_block_of_slots_equals_its_rows(self):
+        # the particle ledger draws k slots of n keys as one (k, n) mix
+        rng = CounterRNG(11)
+        key = rng.key(np.arange(5, dtype=np.uint64), np.full(5, 7, dtype=np.uint64))
+        base = np.array([0, 1, 2 ** 40, 2 ** 64 - 3, 2 ** 64 - 1], dtype=np.uint64)
+        rows = base + np.arange(4, dtype=np.uint64)[:, None]  # wraps past 2^64
+        block = rng.uniform(key, rows)
+        assert block.shape == (4, 5)
+        for k in range(4):
+            assert block[k].tobytes() == rng.uniform(key, base + np.uint64(k)).tobytes()
 
 
 def _old_rows(header, columns):

@@ -5,12 +5,12 @@ Philox stream is keyed by `mc._chunks`, so a random stream has one place to
 change and one place to pin (tests/test_mc_stream.py).  The acceptance
 criteria are timed by `acceptance.run_suite` alone, the one caller that
 reports the time.  In `sim` a lineage key is mixed only where a particle is
-born, every Brownian increment of the particle ledger is drawn by
-`_Ledger._move`, and replicates run through one loop that derives their
-seeds.  A
-child's lineage id is derived only where the ledger drains and where the
-lattice builds a generation: one way to derive it, and a traced count of
-`rng.child_id` calls that keeps its meaning.  Every
+born, every Brownian increment of the particle ledger is turned into a
+normal (`ndtri`) by `_Ledger._move` alone, and replicates run through one
+loop that derives their seeds.  A child's lineage id is derived only where
+the ledger drains and where the lattice builds a block of a generation:
+one way to derive it, and a traced count of `rng.child_id` calls that
+counts one call per drain round with splits and one per lattice block.  Every
 operation runs through `Operation.execute`, and its parameters are parsed
 and defaulted by the registry alone.  `execute` is also the one place that
 decides how result files reach disk: a run writes into `<out>.tmp`, which
@@ -55,7 +55,7 @@ def _calls(attr):
     ("standard_normal", ("mc", "_march")),
     ("Philox", ("mc", "_chunks")),
     ("perf_counter", ("acceptance", "run_suite")),
-    ("normal", ("sim", "_move")),
+    ("ndtri", ("sim", "_move")),
     ("rmtree", ("operations", "execute")),
 ])
 def test_one_site(attr, home):
