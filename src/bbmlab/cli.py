@@ -112,22 +112,13 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # a Python float's ** or math.exp past the double range
+        detail = exc.args[-1] if exc.args else exc  # ** gives (errno, text)
+        print(f"numerical failure: a value overflowed: {detail}", file=sys.stderr)
+        return 2
     except OSError as exc:  # an output directory or file that cannot be written
-        print(f"output error: {_os_error_text(exc)}", file=sys.stderr)
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
-
-
-def _os_error_text(exc: OSError) -> str:
-    """The error with its paths as text: str(exc) shows the repr of a
-    path, such as PosixPath('out/spectrum')."""
-    if exc.strerror is None:
-        return str(exc)
-    text = f"[Errno {exc.errno}] {exc.strerror}"
-    if exc.filename is not None:
-        text += f": {os.fsdecode(exc.filename)}"
-    if exc.filename2 is not None:
-        text += f" -> {os.fsdecode(exc.filename2)}"
-    return text
 
 
 if __name__ == "__main__":

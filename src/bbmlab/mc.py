@@ -12,7 +12,11 @@ either zero or one of the explicit envelopes
     f-(y,r) = -min(L(|y/r|^a + r^-b), eta),
 
 where eta is the largest value in (0, 1/2] keeping y -> (y/r)^alpha (1+f-)
-non-decreasing for all r >= (2L)^{1/b}.
+non-decreasing for all r >= (2L)^{1/b}: eta = min(1/2, alpha/(alpha+a)).
+Below the cap, with u = y/r, the map u^alpha (1 - L u^a - L r^-b) rises
+exactly while u^a <= alpha (1 - L r^-b) / (L (alpha+a)); the cap sits at
+u^a = eta/L - r^-b, which stays inside that range for every such r exactly
+when eta <= alpha/(alpha+a).  Above the cap the map is u^alpha (1 - eta).
 
 Every Monte Carlo estimate in bbmlab, including the spine checks in `sim`,
 goes through one reducer, `_chunked_mean`: chunk i of the samples draws from
@@ -70,7 +74,7 @@ class KernelEstimate:
 
 @dataclass(frozen=True)
 class ErrorEnvelope:
-    """Explicit perturbation pair; eta is found by bisection once."""
+    """Explicit perturbation pair; `make_envelope` gives eta in closed form."""
 
     L: float
     a: float
@@ -92,38 +96,11 @@ class ErrorEnvelope:
         return -np.minimum(self.magnitude(y, r), self.eta)
 
 
-def _monotone_on_grid(L, a, b, alpha, eta):
-    """Check y -> (y/r)^alpha (1 + f-) non-decreasing on a grid of 1000 y
-    values for each of 40 radii spanning four decades."""
-    r0 = (2.0 * L) ** (1.0 / b)
-    for r in np.geomspace(r0, r0 * 1e4, 40):
-        # resolve the region around the cap; beyond it the map is clearly
-        # increasing, so scan up to twice the cap location
-        u_cap = ((eta - L * r ** (-b)) / L)
-        u_hi = 2.0 * max(u_cap, 0.0) ** (1.0 / a) if u_cap > 0 else 1.0
-        y = np.linspace(0.0, max(u_hi, 1.0) * r, 1000)
-        vals = (y / r) ** alpha * (1.0 - np.minimum(L * ((y / r) ** a + r ** (-b)), eta))
-        if np.any(np.diff(vals) < -1e-15):
-            return False
-    return True
-
-
 def make_envelope(L: float, a: float, b: float, alpha: float) -> ErrorEnvelope:
-    """Bisect for the largest admissible eta in (0, 1/2]."""
+    """The envelope with the largest admissible eta, min(1/2, alpha/(alpha+a))."""
     if min(L, a, b) <= 0:
         raise ConfigurationError("envelope parameters must be positive")
-    if _monotone_on_grid(L, a, b, alpha, 0.5):
-        return ErrorEnvelope(L, a, b, alpha, 0.5)
-    lo, hi = 0.0, 0.5
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _monotone_on_grid(L, a, b, alpha, mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise NumericalFailure("no admissible eta found (envelope too steep)")
-    return ErrorEnvelope(L, a, b, alpha, lo)
+    return ErrorEnvelope(L, a, b, alpha, min(0.5, alpha / (alpha + a)))
 
 
 def _chunks(seed, n, key_offset=0, chunk=CHUNK):

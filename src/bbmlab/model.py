@@ -135,10 +135,6 @@ class DerivedConstants:
         object.__setattr__(self, "kappa", kap)
         object.__setattr__(self, "theta1", t1)
         object.__setattr__(self, "theta2", t2)
-        # same constant written with (2+a)/(2-a) instead of 1/(1-kappa)
-        alt = self.lambda0 * (2.0 + a) / (2.0 - a) * b ** (2.0 / (2.0 + a)) / 2.0 ** (2.0 * a / (2.0 + a))
-        if not abs(alt - t1) <= 1e-12 * abs(t1):
-            raise AssertionError("theta1 identity violated: %.17g vs %.17g" % (t1, alt))
 
 
 def derived_constants(params: ModelParams, lambda0: float) -> DerivedConstants:

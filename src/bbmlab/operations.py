@@ -15,6 +15,7 @@ directory, published whole on success, and removed on failure.
 from __future__ import annotations
 
 import math
+import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import mc, pde, sim, spectral
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailure
 from .files import write_csv, write_json
 from .model import ModelParams, RateFamily, derived_constants
 
@@ -142,16 +143,18 @@ class Operation:
         suite."""
         args = self.bind(raw)
         stage = out.with_name(out.name + ".tmp")
+        # rmtree is given text: an OSError keeps its argument as filename,
+        # and the CLI prints the error as it is
         if stage.exists():
-            shutil.rmtree(stage)
+            shutil.rmtree(os.fspath(stage))
         stage.mkdir(parents=True)
         try:
             names = [Path(f).name for f in self.run(args, stage)]
             if out.exists():
-                shutil.rmtree(out)
+                shutil.rmtree(os.fspath(out))
             stage.replace(out)
         except BaseException:
-            shutil.rmtree(stage, ignore_errors=True)
+            shutil.rmtree(os.fspath(stage), ignore_errors=True)
             raise
         return [str(out / name) for name in names]
 
@@ -273,8 +276,11 @@ def _run_simulate(a, out: Path):
 
 
 def _run_couple(a, out: Path):
-    runs = sim.run_coupled(a["alphas"], a["t_end"], a["seed"], snapshot_times=a["snapshots"],
-                           cap=a["cap"], include_homogeneous=a["homogeneous"])
+    try:
+        runs = sim.run_coupled(a["alphas"], a["t_end"], a["seed"], snapshot_times=a["snapshots"],
+                               cap=a["cap"], include_homogeneous=a["homogeneous"])
+    except AssertionError as exc:  # a member truncated by the cap breaks the chain
+        raise NumericalFailure(str(exc)) from None
     files = [pop.export_snapshots_csv(out / f"snapshots_alpha_{key.replace('.', 'p')}.csv")
              for key, (pop, _) in runs.items()]
     sizes = {key: pop.size for key, (pop, _) in runs.items()}

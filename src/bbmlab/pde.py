@@ -331,8 +331,6 @@ def _step_plan(rho, T, q: PiecewiseQ, cfl: float, shifts):
     their shifts, is None).
     Simpson's nodes start from a = t - dt, taken after the step.
     """
-    if _min_steps(rho, T, q, cfl) > MAX_STEPS + len(q.pieces):  # landing steps may pass
-        raise NumericalFailure(f"time grid needs over {MAX_STEPS} steps to reach T={T}; reduce T")
     dt_max = T / MIN_STEPS
     brk = iter(sorted(b for b in q.breakpoints() if 0.0 < b < T))
     nb = next(brk, T)
@@ -394,6 +392,10 @@ def solve_pde(initial, rho: float, alpha: float, T: float, grids: PdeGrids | Non
     grids = grids or PdeGrids()
     if q is None:
         q = PiecewiseQ.singular(alpha, T)
+    # the step budget is refused before the grid and the potential are built;
+    # landing steps on breakpoints may pass it
+    if _min_steps(rho, T, q, grids.cfl_pot) > MAX_STEPS + len(q.pieces):
+        raise NumericalFailure(f"time grid needs over {MAX_STEPS} steps to reach T={T}; reduce T")
 
     span = 2.0 * grids.x_max
     if not span / grids.dx >= 1.5:  # fewer than two intervals after rounding

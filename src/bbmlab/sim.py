@@ -356,7 +356,9 @@ def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
     Shared (seed, lineage, counter) randomness and a common snapshot grid
     mean that a lineage alive in two runs has identical history, and the
     acceptance test u <= b_alpha is monotone in alpha; the lineage-id sets
-    therefore form an inclusion chain at every snapshot, which is asserted.
+    therefore form an inclusion chain at every snapshot, which is asserted;
+    the AssertionError names each member truncated by the cap before the
+    failing snapshot.
     """
     alphas = list(alphas)
     if sorted(alphas) != alphas:
@@ -376,7 +378,11 @@ def run_coupled(alphas: Sequence[float], t_end: float, seed: int,
     for t_b in snaps:
         alive = [p.birth <= t_b for p in pops]
         if not _chain_holds([_id_rows(p.lid_hi[a], p.lid_lo[a]) for p, a in zip(pops, alive)]):
-            raise AssertionError("coupled lineage sets failed the inclusion chain")
+            cut = "".join(f"; member {key} truncated at t = {p.time} with {p.size} particles "
+                          f"(cap {cap})" for (key, _), p in zip(members, pops)
+                          if p.truncated and p.time < t_b)
+            raise AssertionError(
+                f"coupled lineage sets failed the inclusion chain at t = {t_b}{cut}")
     return {key: runs[key] for key, _ in members}
 
 
@@ -698,6 +704,16 @@ def porism_probe(params: ModelParams, t_list: Sequence[float], replicates: int,
     return report
 
 
+def _exp_or_inf(v):
+    """e^v, or inf past the double range: theta1 grows like 1/(2 - alpha),
+    so near alpha = 2 the factor e^{theta1 t^{1-kappa}} of Z_t overflows,
+    a statistic of a run that is itself exact."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def _extremal_stats(t, x, y, consts, barrier_ok):
     """The extremes of the snapshot (x, y) at time t.  `barrier_ok` is the
     flag of the snapshots before; the result's flag adds max X <= sqrt(2) t
@@ -712,10 +728,10 @@ def _extremal_stats(t, x, y, consts, barrier_ok):
         pos = a > 0
         total = 0.0
         if np.any(pos):
-            total += math.exp(lp + logsumexp(np.log(a[pos]) - SQRT2 * a[pos]))
+            total += _exp_or_inf(lp + logsumexp(np.log(a[pos]) - SQRT2 * a[pos]))
         neg = a < 0
         if np.any(neg):
-            total -= math.exp(lp + logsumexp(np.log(-a[neg]) - SQRT2 * a[neg]))
+            total -= _exp_or_inf(lp + logsumexp(np.log(-a[neg]) - SQRT2 * a[neg]))
         z_t = total
     return ExtremalStats(
         t=float(t), m_t=float(r[imax]), max_x=max_x, argmax_y=float(y[imax]), z_t=z_t,

@@ -1,8 +1,9 @@
 """Independent reference values used across the test suite.
 
 Everything here is computed by routes that share no code with the package:
-mpmath special functions at high precision, analytic Hermite-function
-algebra, and closed-form Yule-process moments.
+mpmath special functions and quadrature at high precision, analytic
+Hermite-function algebra, closed-form Yule-process moments, and a grid scan
+of the envelope's monotonicity.
 """
 
 import math
@@ -98,11 +99,36 @@ def yule_second_factorial(t):
     return 2.0 * math.exp(t) * (math.exp(t) - 1.0)
 
 
-def weyl_constant_closed_form(alpha):
-    """c_alpha via the Beta function: (2/pi) * Gamma(1/a) Gamma(3/2) / (a Gamma(1/a + 3/2))."""
-    from scipy.special import gamma as G
+def weyl_constant_quadrature(alpha, dps=30):
+    """c_alpha = (2/pi) int_0^1 sqrt(1 - u^alpha) du by mpmath quadrature at
+    `dps` digits, split at the interior points where the integrand turns:
+    u^alpha rises from 0 to 1 on [0, 1], steeply near 0 for small alpha and
+    near 1 for large alpha."""
+    import mpmath as mp
 
-    return 2.0 / math.pi * G(1.0 / alpha) * G(1.5) / (alpha * G(1.0 / alpha + 1.5))
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        f = lambda u: mp.sqrt(1 - u ** a)
+        knots = sorted({mp.mpf(0), mp.mpf(10) ** -8, mp.mpf(10) ** -3, 1 - 1 / (1 + a),
+                        1 - mp.mpf(10) ** -3, 1 - mp.mpf(10) ** -8, mp.mpf(1)})
+        return float(2 / mp.pi * mp.quad(f, knots))
+
+
+def monotone_on_grid(L, a, b, alpha, eta):
+    """Whether y -> (y/r)^alpha (1 + f-) is non-decreasing on a grid of 1000
+    y values for each of 40 radii spanning four decades (the grid scan that
+    found the envelope's eta by bisection before its closed form)."""
+    r0 = (2.0 * L) ** (1.0 / b)
+    for r in np.geomspace(r0, r0 * 1e4, 40):
+        # resolve the region around the cap; beyond it the map is clearly
+        # increasing, so scan up to twice the cap location
+        u_cap = ((eta - L * r ** (-b)) / L)
+        u_hi = 2.0 * max(u_cap, 0.0) ** (1.0 / a) if u_cap > 0 else 1.0
+        y = np.linspace(0.0, max(u_hi, 1.0) * r, 1000)
+        vals = (y / r) ** alpha * (1.0 - np.minimum(L * ((y / r) ** a + r ** (-b)), eta))
+        if np.any(np.diff(vals) < -1e-15):
+            return False
+    return True
 
 
 def functional_by_ancestor_walk(pop, fn, t_end):

@@ -106,6 +106,7 @@ def _exits_in_one_line(argv, out, code):
     prefix = {1: "validation error: ", 2: "numerical failure: "}[code]
     assert len(lines) == 1 and lines[0].startswith(prefix)
     assert not any(out.iterdir())
+    return lines[0]
 
 
 class TestCli:
@@ -154,6 +155,41 @@ class TestCli:
         # point budget of its solver, is refused with one line before the
         # grid is allocated
         _exits_in_one_line(argv, tmp_path, code)
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --alpha 1e-3 --n-max 1",
+        "weyl --alpha 1e-9",
+        "galerkin --alpha 0.001",
+        "simulate --alpha 1e-3 --t-end 2 --seed 1",
+        "porism --alpha 1e-3 --t-list 2 --replicates 1 --seed 1",
+        "pde --t-end 0.9 --rho 1 --alpha 1000",
+        "kernel-g --s 0.5 --t-end 16 --alpha 300",
+        "barriers --t-end 0.5 --eps1 0.05 --eps2 0.05 --alpha 5000",
+        "gtilde --s 1 --t-end 2 --y 1e300 --n 100 --step 0.01 --seed 1",
+    ], ids=["spectrum", "weyl", "galerkin", "simulate", "porism", "pde", "kernel_g",
+            "barriers", "gtilde"])
+    def test_overflow_exit(self, tmp_path, argv):
+        # a Python float's ** or math.exp raises OverflowError where numpy
+        # would saturate: the Weyl estimate's turning point (2 lambda)^(1/alpha)
+        # for tiny alpha, int (1-t)^-alpha for huge alpha, the Gaussian
+        # prefactor far out.  Each is a numerical failure in one line
+        assert "a value overflowed" in _exits_in_one_line(argv, tmp_path, 2)
+
+    def test_truncated_couple_exit(self, tmp_path):
+        # the alpha = 4 member stops at t = 7 with 564 particles, so the chain
+        # fails at the snapshot t = 8 that only the others reach
+        line = _exits_in_one_line("couple --alphas 0.5,1,2,4 --t-end 8 --snapshots 4,8 "
+                                  "--seed 7 --cap 1000", tmp_path, 2)
+        assert line.endswith("inclusion chain at t = 8.0; "
+                             "member 4.0 truncated at t = 7.0 with 564 particles (cap 1000)")
+
+    def test_theta1_next_to_alpha_two(self, tmp_path):
+        # theta1 ~ 1e6 at alpha = 1.999999: the run is exact and Z_t's factor
+        # e^{theta1 t^{1-kappa}} is past the double range, written as inf
+        assert main(["simulate", "--alpha", "1.999999", "--t-end", "1", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "simulate" / "stats.csv") as fh:
+            assert [float(row["Z_t"]) for row in csv.DictReader(fh)] == [math.inf]
 
     def test_cli_covers_every_operation(self):
         import argparse

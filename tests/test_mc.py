@@ -12,7 +12,6 @@ from bbmlab.mc import (
     _chunked_mean,
     _chunks,
     _log_time_grid,
-    _monotone_on_grid,
     _quadratic_angle,
     _Trapezoid,
     _kernel_weight,
@@ -30,6 +29,7 @@ from bbmlab.mc import (
 from bbmlab.model import ModelParams, RateFamily
 from bbmlab.operations import REGISTRY
 
+from oracles import monotone_on_grid
 from test_mc_stream import marched_paths
 
 P11 = ModelParams(alpha=1.0, beta=1.0, rate_family=RateFamily.POW_CLAMP)
@@ -110,8 +110,27 @@ def assert_barrier_as_dense(x, t, y, K, step, seed, n=200):
 class TestEnvelope:
     def test_eta_matches_analytic_bound(self):
         # the monotonicity constraint solves to eta = min(1/2, alpha/(alpha+a))
-        env = make_envelope(0.5, 1.5, 1.0, 1.0)
-        assert env.eta == pytest.approx(0.4, abs=5e-3)
+        for L, a, b, alpha in [(0.5, 1.5, 1.0, 1.0), (0.5, 2.0, 1.0, 1.0), (1.0, 0.5, 1.0, 1.3),
+                               (2.0, 1.3, 0.8, 1.0), (0.1, 3.0, 2.0, 0.7)]:
+            assert make_envelope(L, a, b, alpha).eta == min(0.5, alpha / (alpha + a))
+
+    @pytest.mark.parametrize("L, a, b, alpha", [(0.5, 1.5, 1.0, 1.0), (0.5, 2.0, 1.0, 1.0)])
+    def test_weight_never_falls_at_the_cap(self, L, a, b, alpha):
+        # (y/r)^alpha (1 + f-) on a fine grid bracketing the cap at
+        # r = 10^k r0: it falls nowhere, and with eta 0.3% larger (the
+        # bisected value this closed form replaced) it falls at r = 10^7 r0
+        env = make_envelope(L, a, b, alpha)
+
+        def steps(eta, r):
+            # at y = 0 already where L r^-b >= eta
+            u_cap = (max(eta - L * r ** -b, 0.0) / L) ** (1.0 / a)
+            y = np.linspace(0.9 * u_cap, 1.1 * u_cap or 1.0, 20_001) * r
+            vals = (y / r) ** alpha * (1.0 - np.minimum(env.magnitude(y, r), eta))
+            return np.diff(vals)
+
+        for k in range(8):
+            assert np.all(steps(env.eta, 10.0 ** k * env.r0) >= 0.0)
+        assert np.any(steps(1.003 * env.eta, 1e7 * env.r0) < 0.0)
 
     def test_eta_caps_at_half(self):
         env = make_envelope(1.0, 0.5, 1.0, 1.3)
@@ -120,7 +139,8 @@ class TestEnvelope:
     def test_grid_check_fails_above_eta(self):
         env = make_envelope(0.5, 1.5, 1.0, 1.0)
         assert env.eta < 0.5
-        assert not _monotone_on_grid(0.5, 1.5, 1.0, 1.0, 1.05 * env.eta)
+        assert monotone_on_grid(0.5, 1.5, 1.0, 1.0, env.eta)
+        assert not monotone_on_grid(0.5, 1.5, 1.0, 1.0, 1.05 * env.eta)
 
     def test_branch_shapes(self):
         env = make_envelope(2.0, 1.3, 0.8, 1.0)

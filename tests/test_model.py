@@ -24,6 +24,11 @@ SQRT2 = math.sqrt(2.0)
 LAMBDA0_A1 = 1.0187929716474714  # ground level at alpha=1, cross-checked in test_spectral
 
 
+def _theta1_by_ratio(a, b, lambda0):
+    """theta1 with the factor (2+a)/(2-a) in place of 1/(1-kappa)."""
+    return lambda0 * (2.0 + a) / (2.0 - a) * b ** (2.0 / (2.0 + a)) / 2.0 ** (2.0 * a / (2.0 + a))
+
+
 def sinpow(alpha):
     return ModelParams(alpha=alpha, rate_family=RateFamily.SIN_POW)
 
@@ -111,8 +116,15 @@ class TestConstants:
     @given(st.floats(0.7, 1.9), st.floats(0.1, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_theta1_two_formulas(self, alpha, beta):
-        # the dataclass itself asserts the identity at 1e-12 relative
-        DerivedConstants(alpha, beta, 1.0)
+        # the same constant written with (2+a)/(2-a) instead of 1/(1-kappa)
+        t1 = DerivedConstants(alpha, beta, 1.0).theta1
+        assert t1 == pytest.approx(_theta1_by_ratio(alpha, beta, 1.0), rel=1e-12)
+
+    def test_theta1_next_to_alpha_two(self):
+        # 1 - kappa = (2-a)/(2+a) cancels to about 6 digits at 1.999999: the
+        # two forms differ by rounding there, not by a fault
+        t1 = DerivedConstants(1.999999, 1.0, 1.0).theta1
+        assert t1 == pytest.approx(_theta1_by_ratio(1.999999, 1.0, 1.0), rel=1e-9)
 
     def test_theta1_undefined_at_kappa_one(self):
         with pytest.raises(DomainError, match="kappa = 1"):

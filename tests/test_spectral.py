@@ -25,7 +25,7 @@ from bbmlab.spectral import (
     weyl_lambda,
 )
 
-from oracles import airy_level_oracle, hermite_function, weyl_constant_closed_form
+from oracles import airy_level_oracle, hermite_function, weyl_constant_quadrature
 
 AIRY_LEVELS = np.array([1.0187929716474714, 2.338107410459767, 3.2481975821798366])
 
@@ -199,9 +199,18 @@ class TestWeyl:
     def test_constant_alpha1(self):
         assert weyl_constant(1.0) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-12)
 
-    def test_constant_closed_form_cross_check(self):
-        for a in (0.8, 1.3, 2.7, 5.0):
-            assert weyl_constant(a) == pytest.approx(weyl_constant_closed_form(a), abs=1e-10)
+    def test_constant_matches_quadrature(self):
+        # the Beta-function closed form against a 30-digit quadrature
+        for a in (0.05, 0.1, 0.3, 0.8, 1.0, 2.0, 5.0, 100.0):
+            expect = weyl_constant_quadrature(a)
+            assert weyl_constant(a) == pytest.approx(expect, rel=5e-15, abs=0.0)
+
+    def test_constant_finite_for_small_alpha(self):
+        # Gamma(1 + 1/alpha) alone overflows past 1/alpha ~ 171
+        for a in (1e-3, 1e-9):
+            c = weyl_constant(a)
+            assert 0.0 < c < 1.0 and math.isfinite(c)
+        assert weyl_constant(1e-3) == pytest.approx(weyl_constant_quadrature(1e-3), rel=1e-12)
 
     def test_large_alpha_limit(self):
         vals = [weyl_constant(a) for a in (5.0, 20.0, 100.0)]

@@ -21,9 +21,14 @@ default made anywhere else.  The finite-difference grid options are exactly
 those the registry exposes.  Eigenvectors have one path too: inverse
 iteration in `spectral._eigenvector`, whose tridiagonal solver only the
 TR-BDF2 stages share; no second LAPACK eigenvector routine is bound.
+The package's constants are closed forms, not searches: importing every
+module leaves `scipy.integrate`, `scipy.optimize` and `scipy.sparse` out of
+the process.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +153,16 @@ def test_pde_grids_are_the_registry_grids():
     exposed = {{"cfl": "cfl_pot"}.get(name, name): param.default
                for name, param in operations._GRIDS.items()}
     assert {f.name: f.default for f in fields(PdeGrids)} == exposed
+
+
+def test_no_quadrature_solver_or_sparse_import():
+    """A fresh interpreter that imports every module of the package has
+    none of scipy's quadrature, optimization or sparse packages loaded."""
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import bbmlab; "
+             + "; ".join(f"import bbmlab.{m}" for m in modules)
+             + "; print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize', "
+               "'scipy.sparse') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == []
