@@ -111,8 +111,7 @@ def criterion_4(ctx):
 def criterion_5(ctx):
     """Finite-difference / eigenbasis cross-validation."""
     s = ctx.system(1.0, 26, accuracy=1e-7)
-    res = pde.cross_validate_galerkin(s, 100.0, 0.4, 1.0, xi=0.0, n_modes=24,
-                                      grids=pde.PdeGrids())
+    res = pde.cross_validate_galerkin(s, 100.0, 0.4, 1.0, n_modes=24)
     ok = res["rel_l2"] <= 0.02
     return CriterionResult(5, "solver cross-validation", ok,
                            f"relative L2 distance {res['rel_l2']:.2e} (tol 2e-2)")

@@ -19,6 +19,14 @@ from .errors import ConfigurationError, DomainError, NumericalFailure
 DEFAULT_ROOT_ENV = "BBMLAB_OUT"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 as validation errors, not with argparse's usage
+    text and exit 2; `add_subparsers` gives the subparsers this class too."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _add_operation_parsers(sub):
     for name, op in operations.REGISTRY.items():
         p = sub.add_parser(name, help=op.anchor)
@@ -37,9 +45,8 @@ def _add_operation_parsers(sub):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="bbmlab",
-                                     description="angle-inhomogeneous branching "
-                                                 "diffusion laboratory")
+    parser = _Parser(prog="bbmlab",
+                     description="angle-inhomogeneous branching diffusion laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_operation_parsers(sub)
 
@@ -55,9 +62,8 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="summarize a run directory")
     p_rep.add_argument("run_dir")
 
-    args, unknown = parser.parse_known_args(argv)
-
     try:
+        args, unknown = parser.parse_known_args(argv)
         if unknown:  # a flag no subcommand declares is a validation error too
             raise ConfigurationError(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command == "run":

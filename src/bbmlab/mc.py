@@ -5,8 +5,8 @@ The object of interest is the exponential weight
     exp( - beta int_s^t |B_r / (sqrt 2 r)|^alpha (1 + f(B_r, r)) dr )
 
 averaged over forward Wiener paths (total mass) or Brownian bridges (the
-pointwise kernel, times the Gaussian prefactor).  The perturbation f is
-either zero or one of the explicit envelopes
+pointwise kernel, times the Gaussian prefactor).  The estimators' argument
+`f` is None (f = 0) or one of the explicit envelopes, `f_plus` or `f_minus`,
 
     f+(y,r) = min(L(|y/r|^a + r^-b), 1),
     f-(y,r) = -min(L(|y/r|^a + r^-b), eta),
@@ -30,8 +30,9 @@ Every path, the spines of `sim` included, comes from one column marcher,
 Path integrals use the trapezoidal rule on the sampled skeleton.  Where the
 weight has a kink at y = 0 (alpha < 2, or an envelope), a step on which a
 1-D path crosses zero takes the weight at the step's midpoint instead; the
-bare weight at alpha >= 2 takes the plain rule.  The skeletons are uniform in
-r with at most `step` between columns, except in the alpha = 2 exponent fit:
+bare weight at alpha >= 2 takes the plain rule.  `_intervals` sizes every
+path grid, the spines' included: at least two intervals, none longer than
+`step`.  The skeletons are uniform in r, except in the alpha = 2 exponent fit:
 its weight is scale-invariant, so it marches a geometric grid, uniform in
 u = log r with du <= step / 5, and takes the trapezoidal rule in u of the
 smooth integrand B_r^2 / r.
@@ -241,11 +242,9 @@ def _validate(s, t, n_samples, step=None):
 
 
 def estimate_total_mass(s: float, t: float, x: float, params, n_samples: int,
-                        step: float, seed: int, envelope: ErrorEnvelope | None = None,
-                        branch: str = "zero") -> KernelEstimate:
-    """Forward-path estimate of E[exp(-beta int_s^t |B/(sqrt2 r)|^a (1+f))].
-
-    branch selects f: "zero", "plus" or "minus" of the given envelope.
+                        step: float, seed: int, f=None) -> KernelEstimate:
+    """Forward-path estimate of E[exp(-beta int_s^t |B/(sqrt2 r)|^a (1+f))],
+    with f = 0 when not given (an envelope's f_plus or f_minus, say).
     Degenerate t == s returns exactly 1.
     """
     if t == s:
@@ -253,31 +252,20 @@ def estimate_total_mass(s: float, t: float, x: float, params, n_samples: int,
     _validate(s, t, n_samples, step)
     beta, alpha = params.beta, params.alpha
     r_grid = _weight_grid(s, t, step)
-    kernel = _kernel_weight(alpha, _branch_fn(envelope, branch))
+    kernel = _kernel_weight(alpha, f)
     mean, stderr, count = _chunked_mean(seed, n_samples, _weighted_paths(r_grid, beta, kernel, x))
     return KernelEstimate(mean, stderr, count, float(r_grid[1] - r_grid[0]))
 
 
-def _branch_fn(envelope, branch):
-    if branch == "zero" or envelope is None:
-        return None
-    if branch == "plus":
-        return envelope.f_plus
-    if branch == "minus":
-        return envelope.f_minus
-    raise ConfigurationError(f"unknown envelope branch {branch!r}")
-
-
 def estimate_gtilde(s: float, x: float, t: float, y: float, params, n_samples: int,
-                    step: float, seed: int, envelope: ErrorEnvelope | None = None,
-                    branch: str = "zero") -> KernelEstimate:
+                    step: float, seed: int, f=None) -> KernelEstimate:
     """Bridge estimate of the pointwise kernel (conditional weight times the
-    Gaussian prefactor)."""
+    Gaussian prefactor), with the perturbation f as in `estimate_total_mass`."""
     _validate(s, t, n_samples, step)
     beta, alpha = params.beta, params.alpha
     pref = math.exp(-((y - x) ** 2) / (2.0 * (t - s))) / math.sqrt(2.0 * math.pi * (t - s))
     r_grid = _weight_grid(s, t, step)
-    kernel = _kernel_weight(alpha, _branch_fn(envelope, branch))
+    kernel = _kernel_weight(alpha, f)
     mean, stderr, count = _chunked_mean(seed, n_samples,
                                         _weighted_paths(r_grid, beta, kernel, x, y))
     return KernelEstimate(pref * mean, pref * stderr, count, float(r_grid[1] - r_grid[0]))

@@ -38,6 +38,12 @@ def _positive(v):
     return float(v)
 
 
+def _finite(v):
+    if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        raise ConfigurationError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
 def _count(v):
     if not (isinstance(v, int) and v >= 1):
         raise ConfigurationError(f"expected a count >= 1, got {v!r}")
@@ -330,7 +336,7 @@ _GRIDS = {"x_max": Param(_positive, pde.PdeGrids.x_max), "dx": Param(_positive, 
 
 def _functional_params(prefix=""):
     return {prefix + "functional": Param(_functional, "one"),
-            prefix + "x0": Param(float, 0.0), prefix + "r0": Param(float, 0.0)}
+            prefix + "x0": Param(_finite, 0.0), prefix + "r0": Param(_finite, 0.0)}
 
 
 REGISTRY = {op.name: op for op in [
@@ -343,7 +349,7 @@ REGISTRY = {op.name: op for op in [
                "accuracy": Param(_positive, 1e-6)},
               _run_weyl),
     Operation("pde", "killed-diffusion fundamental solution",
-              {"xi": Param(float, 0.0), "t_end": Param(_positive), "rho": Param(_positive),
+              {"xi": Param(_finite, 0.0), "t_end": Param(_positive), "rho": Param(_positive),
                "alpha": Param(_positive), **_GRIDS},
               _run_pde),
     Operation("barriers", "sandwich coefficient pair",
@@ -355,18 +361,18 @@ REGISTRY = {op.name: op for op in [
                "accuracy": Param(_positive, 1e-7)},
               _run_galerkin),
     Operation("kernel-g", "weighted kernel via rescaled fundamental solution",
-              {"s": Param(_positive), "x": Param(float, 0.0), "t_end": Param(_positive),
-               "y": Param(float, 0.0), "beta": Param(_positive, 1.0),
+              {"s": Param(_positive), "x": Param(_finite, 0.0), "t_end": Param(_positive),
+               "y": Param(_finite, 0.0), "beta": Param(_positive, 1.0),
                "alpha": Param(_positive), **_GRIDS},
               _run_kernel_g),
     Operation("mass", "weighted-path total mass",
-              {"s": Param(_positive), "t_end": Param(_positive), "x": Param(float, 0.0),
+              {"s": Param(_positive), "t_end": Param(_positive), "x": Param(_finite, 0.0),
                **_KERNEL_MODEL, "n": Param(_count, 100000), "step": Param(_positive, 0.1),
                "seed": Param(_seed)},
               _run_mass),
     Operation("gtilde", "bridge-conditioned weighted kernel",
-              {"s": Param(_positive), "x": Param(float, 0.0), "t_end": Param(_positive),
-               "y": Param(float, 0.0), **_KERNEL_MODEL, "n": Param(_count, 100000),
+              {"s": Param(_positive), "x": Param(_finite, 0.0), "t_end": Param(_positive),
+               "y": Param(_finite, 0.0), **_KERNEL_MODEL, "n": Param(_count, 100000),
                "step": Param(_positive, 0.04), "seed": Param(_seed)},
               _run_gtilde),
     Operation("alpha2", "quadratic-angle decay exponent",

@@ -43,7 +43,7 @@ from scipy.special import logsumexp, ndtri
 
 from .errors import ConfigurationError, DomainError
 from .files import write_csv, write_json
-from .mc import _chunked_mean, _march, _Trapezoid
+from .mc import _chunked_mean, _intervals, _march, _Trapezoid, _weight_grid
 from .model import DerivedConstants, ModelParams, RateFamily, branching_rate, centering_m
 from .rng import ROOT_ID, CounterRNG, child_id, mix_words
 
@@ -549,9 +549,8 @@ def _grid_column(grid, s):
 
 def _mc_spine_one(params, t_end, functional, n_mc, seed, dt=0.01):
     """Single-spine expectation E[F(path) exp(int_0^t b(theta_s) ds)]."""
-    m = int(round(t_end / dt))
-    grid = np.linspace(0.0, t_end, m + 1)
-    columns = [_grid_column(grid, s) for s in functional.times] + [m]
+    grid = _weight_grid(0.0, t_end, dt)
+    columns = [_grid_column(grid, s) for s in functional.times] + [len(grid) - 1]
     rate = lambda col, r: branching_rate(np.arctan2(col[1], col[0]), params)
 
     def sample(rng, size):
@@ -606,7 +605,7 @@ def _mc_spine_two(params, t_end, f_fun, g_fun, n_mc, seed, dt=0.01):
     its branch column c, spine 2 is W + (spine 1 at c - W at c).  Its
     integral is that of the path following spine 1 up to c and spine 2
     after it, less spine 1's integral up to c."""
-    m = int(round(t_end / dt))
+    m = _intervals(t_end, dt)
     hgrid = np.linspace(0.0, t_end, 2 * m + 1)
     rate = lambda col, r: branching_rate(np.arctan2(col[1], col[0]), params)
 

@@ -152,8 +152,8 @@ def _parity_tridiag(alpha: float, h: float, x_max: float, even: bool, q: float =
 
     Even levels use a mirror ghost (f(-h/2) = f(h/2)), odd levels an
     antisymmetric ghost (f(-h/2) = -f(h/2)); Dirichlet beyond x_max.  A
-    grid over MAX_CLASS_POINTS is a NumericalFailure, raised before any
-    array is allocated.
+    grid over MAX_CLASS_POINTS (checked before any array is allocated) or a
+    potential q x^alpha past the double range is a NumericalFailure.
     """
     if not x_max / h <= MAX_CLASS_POINTS:
         raise NumericalFailure(
@@ -161,7 +161,12 @@ def _parity_tridiag(alpha: float, h: float, x_max: float, even: bool, q: float =
             f"parity class, over the budget of {MAX_CLASS_POINTS}")
     n = int(round(x_max / h))
     x = (np.arange(n) + 0.5) * h
-    v = q * x ** alpha
+    with np.errstate(over="ignore"):
+        v = q * x ** alpha
+    if not math.isfinite(v[-1]):
+        raise NumericalFailure(
+            f"the potential q |x|^alpha at alpha = {alpha:g} passes the double range "
+            f"below x_max = {x_max:.4g}")
     diag = 2.0 / h ** 2 + v
     diag[0] = (1.0 if even else 3.0) / h ** 2 + v[0]
     off = np.full(n - 1, -1.0 / h ** 2)

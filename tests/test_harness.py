@@ -175,6 +175,59 @@ class TestCli:
         # prefactor far out.  Each is a numerical failure in one line
         assert "a value overflowed" in _exits_in_one_line(argv, tmp_path, 2)
 
+    @pytest.mark.parametrize("argv", [
+        "spectrum --alpha 300 --n-max 2",
+        "porism --alpha 1e9 --t-list 2 --replicates 1 --seed 1",
+    ], ids=["spectrum", "porism"])
+    def test_overflowing_potential_exit(self, tmp_path, argv):
+        # |x|^alpha passes the double range at x_max = 30: numpy's warning
+        # was a second line before LAPACK's failure
+        line = _exits_in_one_line(argv, tmp_path, 2)
+        assert "alpha = " in line and "x_max = 30" in line
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --alpha",
+        "nosuch",
+        "",
+        "couple --alphas -1,1 --t-end 2 --seed 1",
+    ], ids=["flag-without-value", "unknown-command", "no-command", "negative-list"])
+    def test_usage_error_exit(self, tmp_path, argv):
+        # argparse printed its usage and exited 2, the numerical-failure code
+        _exits_in_one_line(argv, tmp_path, 1)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["mass", "-h"])
+        assert done.value.code == 0 and "--seed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        "pde --t-end 0.5 --rho 1 --alpha 1 --xi nan",
+        "kernel-g --s 4 --t-end 16 --alpha 1 --x nan",
+        "kernel-g --s 4 --t-end 16 --alpha 1 --y inf",
+        "mass --s 4 --t-end 8 --n 100 --step 0.1 --seed 1 --x nan",
+        "gtilde --s 4 --t-end 8 --n 100 --step 0.1 --seed 1 --x inf",
+        "gtilde --s 4 --t-end 8 --n 100 --step 0.1 --seed 1 --y nan",
+        "mto1 --alpha 1 --t-end 1 --functional x_indicator --x0 nan --n-sim 2 --n-mc 10 --seed 1",
+        "mto2 --alpha 1 --t-end 1 --g-functional r_indicator --g-r0 nan --n-sim 2 --n-mc 10 "
+        "--seed 1",
+    ], ids=["pde-xi", "kernel_g-x", "kernel_g-y", "mass-x", "gtilde-x", "gtilde-y", "mto1-x0",
+            "mto2-r0"])
+    def test_non_finite_coordinate_exit(self, tmp_path, argv):
+        # NaN went through: "value": NaN is not JSON, and an r_indicator at
+        # r0 = nan read z = 0 from two empty sides
+        assert "expected a finite number" in _exits_in_one_line(argv, tmp_path, 1)
+
+    def test_time_axis_shorter_than_its_tolerance(self, tmp_path):
+        # the walk planned no step for T <= 1e-15 (a zero-size array)
+        assert main(["pde", "--t-end", "1e-300", "--rho", "1", "--alpha", "1",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "pde" / "field.json") as fh:
+            assert json.load(fh)["diagnostics"]["steps"] == 1
+
+    def test_subnormal_cfl_exit(self, tmp_path):
+        # cfl / rho underflowed to 0 and _min_steps divided by it
+        _exits_in_one_line("pde --t-end 0.5 --rho 5 --alpha 1 --cfl 5e-324", tmp_path, 2)
+
     def test_truncated_couple_exit(self, tmp_path):
         # the alpha = 4 member stops at t = 7 with 564 particles, so the chain
         # fails at the snapshot t = 8 that only the others reach

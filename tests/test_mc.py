@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bbmlab.errors import ConfigurationError, DomainError
 from bbmlab.mc import (
     ErrorEnvelope,
-    _branch_fn,
     _chunked_mean,
     _chunks,
     _log_time_grid,
@@ -90,6 +89,11 @@ def dense_barrier_sample(r_grid, x, y, K):
             prev = col
         return np.where(hit, 1.0, 1.0 - np.exp(log_stay))
     return sample
+
+
+def envelope_f(env, branch):
+    """The perturbation f that `branch` names: none, env.f_plus or env.f_minus."""
+    return {"zero": None, "plus": env.f_plus, "minus": env.f_minus}[branch]
 
 
 def first_chunk_rng(seed):
@@ -223,7 +227,7 @@ class TestTotalMass:
         env = make_envelope(1.0, 1.0, 1.0, 1.0)
         for branch in ("zero", "plus", "minus"):
             est = estimate_total_mass(4.0, 16.0, 0.5, P11, 2000, 0.1, seed=3,
-                                      envelope=env, branch=branch)
+                                      f=envelope_f(env, branch))
             assert 0.0 <= est.value <= 1.0
             assert est.stderr > 0.0
 
@@ -234,11 +238,9 @@ class TestTotalMass:
 
     def test_monotone_in_f_pathwise(self):
         env = make_envelope(1.0, 1.0, 1.0, 1.0)
-        plus = estimate_total_mass(4.0, 16.0, 0.0, P11, 5000, 0.1, seed=7,
-                                   envelope=env, branch="plus")
+        plus = estimate_total_mass(4.0, 16.0, 0.0, P11, 5000, 0.1, seed=7, f=env.f_plus)
         zero = estimate_total_mass(4.0, 16.0, 0.0, P11, 5000, 0.1, seed=7)
-        minus = estimate_total_mass(4.0, 16.0, 0.0, P11, 5000, 0.1, seed=7,
-                                    envelope=env, branch="minus")
+        minus = estimate_total_mass(4.0, 16.0, 0.0, P11, 5000, 0.1, seed=7, f=env.f_minus)
         assert plus.value <= zero.value <= minus.value
 
     def test_alpha2_closed_form(self):
@@ -266,7 +268,7 @@ class TestGatheredMidpoints:
         (2.0, "plus", True), (3.0, "minus", True)])
     def test_midpoints_only_at_a_kink(self, alpha, branch, midpoints):
         env = make_envelope(1.0, 1.0, 1.0, alpha)
-        assert _kernel_weight(alpha, _branch_fn(env, branch))[1] is midpoints
+        assert _kernel_weight(alpha, envelope_f(env, branch))[1] is midpoints
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("branch", ["zero", "plus", "minus"])
@@ -275,7 +277,7 @@ class TestGatheredMidpoints:
         """Midpoints taken on the crossing paths only equal the dense
         np.where rule bit for bit, forward and bridge, with and without an
         envelope."""
-        weight, midpoints = _kernel_weight(alpha, _branch_fn(make_envelope(
+        weight, midpoints = _kernel_weight(alpha, envelope_f(make_envelope(
             1.0, 1.0, 1.0, alpha), branch))
         grid = _weight_grid(1.0, 2.0, 0.02)
         gathered, dense = _Trapezoid(grid, weight, midpoints), DenseTrapezoid(grid, weight)
@@ -297,8 +299,7 @@ class TestGtilde:
 
     def test_monotone_in_f(self):
         env = make_envelope(1.0, 1.0, 1.0, 1.0)
-        plus = estimate_gtilde(4.0, 0.0, 16.0, 0.5, P11, 4000, 0.1, seed=9,
-                               envelope=env, branch="plus")
+        plus = estimate_gtilde(4.0, 0.0, 16.0, 0.5, P11, 4000, 0.1, seed=9, f=env.f_plus)
         zero = estimate_gtilde(4.0, 0.0, 16.0, 0.5, P11, 4000, 0.1, seed=9)
         assert plus.value <= zero.value
 

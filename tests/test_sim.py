@@ -383,6 +383,19 @@ class TestManyToFew:
         with pytest.raises(ConfigurationError):
             many_to_one_check(ModelParams(alpha=1), 1.0, fn, 20, 2000, 3)
 
+    def test_mto1_shorter_than_a_spine_step(self):
+        # t = 0.004 < dt / 2: the spine grid rounded to no interval and read
+        # the spine at time 0, where X > 0 never holds (mc 0, z = 21)
+        rep = many_to_one_check(ModelParams(alpha=1), 0.004,
+                                PathFunctional("x_indicator", x0=0.0), 400, 20000, seed=3)
+        assert abs(rep["z"]) <= 3.0 and rep["mc_se"] > 0.0
+
+    def test_mto2_shorter_than_a_spine_step(self):
+        # t = 0.001: no branch cell to draw a split time from (high <= 0)
+        rep = many_to_two_check(ModelParams(alpha=1), 0.001, PathFunctional("one"),
+                                PathFunctional("one"), 2, 10, seed=1)
+        assert math.isfinite(rep["mc"]) and rep["mc"] > 0.0
+
     def test_cylinder_times_and_thresholds_pair_up(self):
         # zip dropped the extra threshold: the spine mean came out as 1.52,
         # that of exp(int b) with the threshold 100 ignored

@@ -23,7 +23,9 @@ iteration in `spectral._eigenvector`, whose tridiagonal solver only the
 TR-BDF2 stages share; no second LAPACK eigenvector routine is bound.
 The package's constants are closed forms, not searches: importing every
 module leaves `scipy.integrate`, `scipy.optimize` and `scipy.sparse` out of
-the process.
+the process.  Path grids have one sizing rule, `mc._intervals`, which the
+spine checks of `sim` use like every Monte Carlo estimate: `sim` rounds no
+interval count of its own.
 """
 
 import ast
@@ -67,6 +69,12 @@ def test_one_site(attr, home):
     sites = _calls(attr)
     assert sites, f"no call to {attr} found"
     assert set(sites) == {home}, f"{attr} called outside {'.'.join(home)}: {sites}"
+
+
+def test_spine_grids_sized_by_intervals():
+    assert not [where for module, where in _calls("round") if module == "sim"]
+    assert ("sim", "_mc_spine_one") in _calls("_weight_grid")
+    assert ("sim", "_mc_spine_two") in _calls("_intervals")
 
 
 def test_lineage_keys_mixed_at_birth():
